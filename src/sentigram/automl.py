@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import LABELS
-from .evaluation import weighted_f1_labels
 from .features import FeatureMatrix
 from .learners import (
     KINDS,
@@ -35,6 +34,7 @@ from .learners import (
     train,
     validate_hp,
 )
+from .metrics import weighted_f1_labels
 
 _ENSEMBLE_FORMAT = "sentigram-ensemble/1"
 
@@ -251,7 +251,6 @@ class TrainedEnsemble:
     members: list[EnsembleMember]
     fingerprint: str
     oof_trajectory: list[float] | None = None
-    training_matrix: FeatureMatrix | None = None  # kept for importance reports
 
     def predict_scores(self, rows) -> np.ndarray:
         n = rows.n_documents if isinstance(rows, FeatureMatrix) else rows.shape[0]
@@ -283,7 +282,6 @@ def fit_final(selection: EnsembleSelection, fm: FeatureMatrix) -> TrainedEnsembl
         members=members,
         fingerprint=fm.fingerprint,
         oof_trajectory=list(selection.oof_trajectory),
-        training_matrix=fm,
     )
 
 

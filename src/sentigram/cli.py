@@ -15,14 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .automl import ensemble_select, ensemble_to_dict, export_leaderboard, fit_final, search
-from .corpus import LABEL_TO_INDEX, LABELS, DatasetError, class_distribution, load_dataset
-from .evaluation import RunConfig, render_report, run_experiment
-from .features import SCHEMES, FeatureMatrix, smote_oversample, vectorize
+from .automl import ensemble_to_dict, export_leaderboard
+from .corpus import LABELS, DatasetError, class_distribution, load_dataset
+from .evaluation import RunConfig, fit_pipeline, render_report, run_experiment
+from .features import SCHEMES
 from .ngrams import build_dictionary, export_dictionary
 from .preprocess import load_stoplist, preprocess
 
 ENV_OUT_DIR = "SENTIGRAM_OUT"
+# RunConfig fields set only by evaluate's protocol flags; train leaves them out
+_PROTOCOL_FIELDS = ("rounds", "test_fraction", "top_ngrams")
 
 
 def _default_out_dir() -> str:
@@ -31,7 +33,6 @@ def _default_out_dir() -> str:
 
 def _add_data_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV with a text,label header")
-    p.add_argument("--format", default="csv", choices=["csv"], help="dataset format")
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
@@ -87,7 +88,7 @@ def _stoplist_from(args):
 
 
 def cmd_stats(args) -> int:
-    ds = load_dataset(args.data, fmt=args.format)
+    ds = load_dataset(args.data)
     dist = class_distribution(ds)
     print(f"dataset: {ds.name} ({len(ds)} documents)")
     for label in LABELS:
@@ -98,7 +99,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    ds = load_dataset(args.data, fmt=args.format)
+    ds = load_dataset(args.data)
     stoplist = _stoplist_from(args)
     tokens = [preprocess(text, stoplist) for text in ds.texts()]
     dictionary = build_dictionary(tokens, max_n=args.max_n, min_freq=args.min_freq)
@@ -109,68 +110,9 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    ds = load_dataset(args.data, fmt=args.format)
-    stoplist = _stoplist_from(args)
-    tokens = [preprocess(text, stoplist) for text in ds.texts()]
-    dictionary = build_dictionary(tokens, max_n=args.max_n, min_freq=args.min_freq)
-    fm = FeatureMatrix(
-        X=vectorize(tokens, dictionary, args.scheme),
-        y=np.asarray([LABEL_TO_INDEX[label] for label in ds.labels()], dtype=np.int64),
-        fingerprint=dictionary.fingerprint,
-        scheme=args.scheme,
-    )
-    seed_state = np.random.SeedSequence(args.seed).generate_state(2)
-    if not args.no_smote:
-        fm = smote_oversample(fm, k=args.smote_k, seed=int(seed_state[0]))
-    lb = search(
-        fm,
-        folds=args.folds,
-        seed=int(seed_state[1]),
-        max_candidates=args.max_candidates,
-        budget_seconds=args.budget_seconds,
-    )
-    ensemble = fit_final(ensemble_select(lb, size=args.ensemble_size), fm)
-
-    out = _out_dir(args)
-    export_dictionary(dictionary, out / "dictionary.tsv")
-    export_leaderboard(lb, out / "leaderboard.tsv")
-    payload = ensemble_to_dict(ensemble)
-    payload["run_config"] = _config_echo(args)
-    (out / "model.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    best = lb.best()
-    print(f"evaluated {len(lb)} candidates; best {best.config.kind} cv={best.score:.3f}")
-    print("ensemble: " + ", ".join(f"{m.config.kind} x{m.multiplicity}" for m in ensemble.members))
-    print(f"wrote {out / 'model.json'}, {out / 'leaderboard.tsv'}, {out / 'dictionary.tsv'}")
-    return 0
-
-
-def _config_echo(args) -> dict:
-    echo = {
-        "data": args.data,
-        "max_n": args.max_n,
-        "min_freq": args.min_freq,
-        "scheme": args.scheme,
-        "use_stopwords": not args.no_stopwords,
-        "stoplist_path": args.stoplist,
-        "smote": not args.no_smote,
-        "smote_k": args.smote_k,
-        "folds": args.folds,
-        "max_candidates": args.max_candidates,
-        "budget_seconds": args.budget_seconds,
-        "ensemble_size": args.ensemble_size,
-        "seed": args.seed,
-    }
-    return echo
-
-
-def cmd_evaluate(args) -> int:
-    ds = load_dataset(args.data, fmt=args.format)
-    cfg = RunConfig(
-        rounds=args.rounds,
-        test_fraction=args.test_fraction,
+def _run_config(args, **protocol) -> RunConfig:
+    """RunConfig from the pipeline and search flags; ``protocol`` sets the rest."""
+    return RunConfig(
         seed=args.seed,
         use_stopwords=not args.no_stopwords,
         stoplist_path=args.stoplist,
@@ -183,8 +125,37 @@ def cmd_evaluate(args) -> int:
         max_candidates=args.max_candidates,
         budget_seconds=args.budget_seconds,
         ensemble_size=args.ensemble_size,
-        top_ngrams=args.top_ngrams,
+        **protocol,
     )
+
+
+def cmd_train(args) -> int:
+    ds = load_dataset(args.data)
+    cfg = _run_config(args)
+    fitted = fit_pipeline(
+        ds.documents, cfg, _stoplist_from(args), np.random.SeedSequence(cfg.seed)
+    )
+    lb, ensemble = fitted.leaderboard, fitted.ensemble
+
+    out = _out_dir(args)
+    export_dictionary(fitted.dictionary, out / "dictionary.tsv")
+    export_leaderboard(lb, out / "leaderboard.tsv")
+    payload = ensemble_to_dict(ensemble)
+    run_config = {k: v for k, v in cfg.to_dict().items() if k not in _PROTOCOL_FIELDS}
+    payload["run_config"] = {**run_config, "data": args.data}
+    (out / "model.json").write_text(
+        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    best = lb.best()
+    print(f"evaluated {len(lb)} candidates; best {best.config.kind} cv={best.score:.3f}")
+    print("ensemble: " + ", ".join(f"{m.config.kind} x{m.multiplicity}" for m in ensemble.members))
+    print(f"wrote {out / 'model.json'}, {out / 'leaderboard.tsv'}, {out / 'dictionary.tsv'}")
+    return 0
+
+
+def cmd_evaluate(args) -> int:
+    ds = load_dataset(args.data)
+    cfg = _run_config(args, **{f: getattr(args, f) for f in _PROTOCOL_FIELDS})
     report = run_experiment(ds, cfg)
     report.payload["dataset"]["path"] = args.data
     out = _out_dir(args)

@@ -46,9 +46,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def labels(self) -> list[str]:
-        return [doc.label for doc in self.documents]
-
     def texts(self) -> list[str]:
         return [doc.text for doc in self.documents]
 
@@ -62,20 +59,19 @@ class SplitPlan:
     test_fraction: float
 
 
-def load_dataset(path: str | Path, fmt: str = "csv", name: str | None = None) -> LabeledDataset:
+def load_dataset(path: str | Path, name: str | None = None) -> LabeledDataset:
     """Read a ``text,label`` CSV into a LabeledDataset, ids assigned in file order.
 
     Text fields may be quoted and contain commas or newlines per standard CSV
-    quoting. Raises DatasetError naming the offending line for malformed rows,
-    empty text, or labels outside the closed set.
+    quoting, and a UTF-8 byte-order mark before the header is skipped. Raises
+    DatasetError naming the offending line for malformed rows, empty text, or
+    labels outside the closed set.
     """
-    if fmt != "csv":
-        raise ValueError(f"unsupported dataset format {fmt!r}")
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
     documents: list[LabeledDocument] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

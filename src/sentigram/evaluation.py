@@ -1,14 +1,6 @@
-"""Experiment harness: confusion-matrix metrics, the multi-round pipeline
-driver, and per-class discriminative n-gram reports.
-
-Metric conventions (fixed class order positive, neutral, negative):
-
-  * precision = diagonal / column sum, recall = diagonal / row sum; a zero
-    denominator yields 0 in computations;
-  * a class is rendered as "-" (undefined) only when it has zero support
-    AND zero predictions — e.g. a class absent from a corpus;
-  * weighted F1 averages per-class F1 weighted by true-instance counts,
-    excluding zero-support classes.
+"""Experiment harness: the fitted pipeline shared by every round and by
+``train``, the multi-round driver, and per-class discriminative n-gram
+reports. Metrics live in ``metrics`` and are re-exported here.
 
 Round averaging is the arithmetic mean of per-round values over the rounds
 where the value is defined; pooled-over-rounds metrics are also reported but
@@ -19,86 +11,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import LABEL_TO_INDEX, LABELS, LabeledDataset, class_distribution, stratified_shuffle_splits
+from . import automl
+from .corpus import (
+    LABEL_TO_INDEX,
+    LABELS,
+    LabeledDataset,
+    LabeledDocument,
+    class_distribution,
+    stratified_shuffle_splits,
+)
 from .features import FeatureMatrix, smote_oversample, vectorize
+from .metrics import (  # re-exported for existing importers
+    ClassMetrics,
+    confusion_matrix,
+    per_class_prf,
+    weighted_f1,
+    weighted_f1_labels,
+    weighted_f1_values,
+)
 from .ngrams import NGramDictionary, build_dictionary
-from .preprocess import load_stoplist, preprocess
-
-
-def _as_label_indices(labels) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.dtype.kind in ("U", "S", "O"):
-        return np.asarray([LABEL_TO_INDEX[str(v)] for v in arr], dtype=np.int64)
-    return arr.astype(np.int64)
-
-
-def confusion_matrix(y_true, y_pred) -> np.ndarray:
-    """3x3 count matrix indexed (true, predicted) in the fixed label order."""
-    t = _as_label_indices(y_true)
-    p = _as_label_indices(y_pred)
-    if len(t) != len(p):
-        raise ValueError(f"length mismatch: {len(t)} true vs {len(p)} predicted")
-    k = len(LABELS)
-    if len(t) and (t.min() < 0 or t.max() >= k or p.min() < 0 or p.max() >= k):
-        raise ValueError("label index outside the fixed class set")
-    cm = np.zeros((k, k), dtype=np.int64)
-    np.add.at(cm, (t, p), 1)
-    return cm
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-    predicted: int
-
-    @property
-    def defined(self) -> bool:
-        """False only for a class with zero support and zero predictions."""
-        return not (self.support == 0 and self.predicted == 0)
-
-
-def per_class_prf(cm: np.ndarray) -> dict[str, ClassMetrics]:
-    cm = np.asarray(cm)
-    out = {}
-    for i, label in enumerate(LABELS):
-        tp = float(cm[i, i])
-        support = int(cm[i].sum())
-        predicted = int(cm[:, i].sum())
-        precision = tp / predicted if predicted > 0 else 0.0
-        recall = tp / support if support > 0 else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        out[label] = ClassMetrics(precision, recall, f1, support, predicted)
-    return out
-
-
-def weighted_f1(metrics: Mapping[str, ClassMetrics]) -> float:
-    """Support-weighted mean of per-class F1, zero-support classes excluded."""
-    total = sum(m.support for m in metrics.values())
-    if total == 0:
-        raise ValueError("weighted F1 needs at least one class with support")
-    return sum(m.support * m.f1 for m in metrics.values() if m.support > 0) / total
-
-
-def weighted_f1_values(supports, f1_values) -> float:
-    """weighted_f1 from bare (support, F1) pairs, for externally given F1s."""
-    supports = np.asarray(supports, dtype=float)
-    f1_values = np.asarray(f1_values, dtype=float)
-    if supports.sum() == 0:
-        raise ValueError("weighted F1 needs at least one class with support")
-    keep = supports > 0
-    return float(np.sum(supports[keep] * f1_values[keep]) / supports.sum())
-
-
-def weighted_f1_labels(y_true, y_pred) -> float:
-    return weighted_f1(per_class_prf(confusion_matrix(y_true, y_pred)))
+from .preprocess import StopList, load_stoplist, preprocess
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +94,80 @@ def _metrics_to_dict(metrics: Mapping[str, ClassMetrics]) -> dict:
     }
 
 
+def _feature_matrix(docs, tokens, dictionary: NGramDictionary, scheme: str) -> FeatureMatrix:
+    return FeatureMatrix(
+        X=vectorize(tokens, dictionary, scheme),
+        y=np.asarray([LABEL_TO_INDEX[d.label] for d in docs], dtype=np.int64),
+        fingerprint=dictionary.fingerprint,
+        scheme=scheme,
+    )
+
+
+@dataclass
+class FittedPipeline:
+    """The method fitted on one set of labeled documents."""
+
+    dictionary: NGramDictionary
+    scheme: str
+    stoplist: StopList | None
+    training: FeatureMatrix  # after SMOTE when it is on; the ensemble was fit on it
+    n_train: int  # training rows before SMOTE
+    leaderboard: automl.Leaderboard
+    selection: automl.EnsembleSelection
+    ensemble: automl.TrainedEnsemble
+
+    def featurize(self, docs: Sequence[LabeledDocument]) -> FeatureMatrix:
+        """Preprocess and vectorize new documents in this pipeline's feature space."""
+        tokens = [preprocess(d.text, self.stoplist) for d in docs]
+        return _feature_matrix(docs, tokens, self.dictionary, self.scheme)
+
+
+def fit_pipeline(
+    docs: Sequence[LabeledDocument],
+    cfg: RunConfig,
+    stoplist: StopList | None,
+    seeds: np.random.SeedSequence,
+) -> FittedPipeline:
+    """Preprocess, build the phrase dictionary, vectorize, optionally
+    oversample, search, select and refit an ensemble, all on ``docs`` alone.
+
+    ``seeds`` yields the SMOTE seed and the search seed, in that order.
+    """
+    smote_seed, search_seed = (int(s) for s in seeds.generate_state(2))
+    tokens = [preprocess(d.text, stoplist) for d in docs]
+    dictionary = build_dictionary(tokens, max_n=cfg.max_n, min_freq=cfg.min_freq)
+    training = _feature_matrix(docs, tokens, dictionary, cfg.scheme)
+    n_train = training.n_documents
+    if cfg.smote:
+        training = smote_oversample(training, k=cfg.smote_k, seed=smote_seed)
+    leaderboard = automl.search(
+        training,
+        folds=cfg.folds,
+        seed=search_seed,
+        max_candidates=cfg.max_candidates,
+        budget_seconds=cfg.budget_seconds,
+    )
+    selection = automl.ensemble_select(leaderboard, size=cfg.ensemble_size)
+    return FittedPipeline(
+        dictionary=dictionary,
+        scheme=cfg.scheme,
+        stoplist=stoplist,
+        training=training,
+        n_train=n_train,
+        leaderboard=leaderboard,
+        selection=selection,
+        ensemble=automl.fit_final(selection, training),
+    )
+
+
 def run_experiment(ds: LabeledDataset, cfg: RunConfig) -> EvalReport:
     """Run the full pipeline over stratified rounds and aggregate a report.
 
-    Per round: split, preprocess, build the phrase dictionary on the training
-    half only, vectorize both halves in that feature space, optionally
-    oversample the training half, search, select and refit an ensemble, and
-    score the held-out half. Nothing derived from test rows ever reaches the
-    dictionary, the oversampler, or the models.
+    Per round: split, fit the pipeline on the training half only, vectorize
+    the held-out half in its feature space, and score it. Nothing derived
+    from test rows ever reaches the dictionary, the oversampler, or the
+    models.
     """
-    from .automl import ensemble_select, fit_final, search  # deferred: automl imports metrics
-
     stoplist = load_stoplist(cfg.stoplist_path) if cfg.use_stopwords else None
     plan = stratified_shuffle_splits(
         ds, rounds=cfg.rounds, test_fraction=cfg.test_fraction, seed=cfg.seed
@@ -180,46 +180,13 @@ def run_experiment(ds: LabeledDataset, cfg: RunConfig) -> EvalReport:
     pooled_pred: list[int] = []
     per_round_tops = []
     for r, (train_ids, test_ids) in enumerate(plan.rounds):
-        state = round_seeds[r].generate_state(2)
-        smote_seed, search_seed = int(state[0]), int(state[1])
-
-        train_docs = [by_id[i] for i in train_ids]
-        test_docs = [by_id[i] for i in test_ids]
-        train_tokens = [preprocess(d.text, stoplist) for d in train_docs]
-        dictionary = build_dictionary(train_tokens, max_n=cfg.max_n, min_freq=cfg.min_freq)
-
-        y_train = np.asarray([LABEL_TO_INDEX[d.label] for d in train_docs], dtype=np.int64)
-        fm_train = FeatureMatrix(
-            X=vectorize(train_tokens, dictionary, cfg.scheme),
-            y=y_train,
-            fingerprint=dictionary.fingerprint,
-            scheme=cfg.scheme,
-        )
-        n_train = fm_train.n_documents
-        if cfg.smote:
-            fm_train = smote_oversample(fm_train, k=cfg.smote_k, seed=smote_seed)
-
-        lb = search(
-            fm_train,
-            folds=cfg.folds,
-            seed=search_seed,
-            max_candidates=cfg.max_candidates,
-            budget_seconds=cfg.budget_seconds,
-        )
-        selection = ensemble_select(lb, size=cfg.ensemble_size)
-        ensemble = fit_final(selection, fm_train)
-
-        test_tokens = [preprocess(d.text, stoplist) for d in test_docs]
-        fm_test = FeatureMatrix(
-            X=vectorize(test_tokens, dictionary, cfg.scheme),
-            y=np.asarray([LABEL_TO_INDEX[d.label] for d in test_docs], dtype=np.int64),
-            fingerprint=dictionary.fingerprint,
-            scheme=cfg.scheme,
-        )
-        y_pred = ensemble.predict(fm_test)
+        fitted = fit_pipeline([by_id[i] for i in train_ids], cfg, stoplist, round_seeds[r])
+        dictionary, lb, selection = fitted.dictionary, fitted.leaderboard, fitted.selection
+        fm_test = fitted.featurize([by_id[i] for i in test_ids])
+        y_pred = fitted.ensemble.predict(fm_test)
         cm = confusion_matrix(fm_test.y, y_pred)
         metrics = per_class_prf(cm)
-        tops = top_ngrams_per_class(ensemble, dictionary, cfg.top_ngrams)
+        tops = top_ngrams_per_class(fitted.ensemble, dictionary, cfg.top_ngrams, fitted.training)
         per_round_tops.append(tops)
         pooled_true.extend(fm_test.y.tolist())
         pooled_pred.extend(y_pred.tolist())
@@ -227,8 +194,8 @@ def run_experiment(ds: LabeledDataset, cfg: RunConfig) -> EvalReport:
         rounds_out.append(
             {
                 "round": r,
-                "n_train": n_train,
-                "n_train_oversampled": fm_train.n_documents,
+                "n_train": fitted.n_train,
+                "n_train_oversampled": fitted.training.n_documents,
                 "n_test": fm_test.n_documents,
                 "dictionary_size": len(dictionary),
                 "dictionary_fingerprint": dictionary.fingerprint,
@@ -307,15 +274,18 @@ def _average_rounds(rounds_out: list[dict]) -> dict:
 # discriminative n-grams
 
 
-def top_ngrams_per_class(target, dictionary: NGramDictionary, k: int) -> dict[str, list[str]]:
+def top_ngrams_per_class(
+    target, dictionary: NGramDictionary, k: int, training: FeatureMatrix
+) -> dict[str, list[str]]:
     """Top-k most class-discriminative dictionary phrases per class.
 
     Scoring by kind: naive Bayes ranks log P(g|c) − max_{c'≠c} log P(g|c');
     linear models rank the weight margin W[c,g] − max_{c'≠c} W[c',g]; forests
-    rank permutation importance, each feature attributed to the majority true
-    class among its nonzero training rows. Ensembles fuse member rankings by
-    multiplicity-weighted Borda points. ``target`` is a trained model or
-    ensemble fitted against ``dictionary``.
+    rank permutation importance on ``training``, each feature attributed to
+    the majority true class among its nonzero training rows. Ensembles fuse
+    member rankings by multiplicity-weighted Borda points. ``target`` is a
+    trained model or ensemble fitted on ``training``, which was vectorized
+    against ``dictionary``.
     """
     F = len(dictionary)
     members = getattr(target, "members", None)
@@ -326,10 +296,12 @@ def top_ngrams_per_class(target, dictionary: NGramDictionary, k: int) -> dict[st
     fingerprint = getattr(target, "fingerprint", None)
     if fingerprint and fingerprint != dictionary.fingerprint:
         raise ValueError("model was trained against a different dictionary")
+    if training.fingerprint != dictionary.fingerprint:
+        raise ValueError("training matrix was vectorized against a different dictionary")
 
     totals: dict[int, np.ndarray] = {}
     for model, mult in weighted:
-        for class_id, points in _rank_points(model, F).items():
+        for class_id, points in _rank_points(model, F, training).items():
             bucket = totals.setdefault(class_id, np.zeros(F))
             bucket += mult * points
     phrases = [" ".join(p) for p in dictionary.feature_order]
@@ -346,14 +318,14 @@ def top_ngrams_per_class(target, dictionary: NGramDictionary, k: int) -> dict[st
     return out
 
 
-def _rank_points(model, F: int) -> dict[int, np.ndarray]:
+def _rank_points(model, F: int, training: FeatureMatrix) -> dict[int, np.ndarray]:
     """Borda points per observed class: the top-ranked feature earns F points."""
     if getattr(model, "feature_log_prob_", None) is not None:
         margins = _one_vs_best_rest(model.feature_log_prob_)
     elif getattr(model, "W_", None) is not None:
         margins = _one_vs_best_rest(model.W_)
     elif model.kind == "random_forest" and hasattr(model, "trees_"):
-        return _forest_rank_points(model, F)
+        return _forest_rank_points(model, F, training)
     else:  # constant model: no discrimination signal
         return {}
     out = {}
@@ -375,9 +347,9 @@ def _one_vs_best_rest(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forest_rank_points(model, F: int) -> dict[int, np.ndarray]:
-    importance = model.permutation_importance(seed=0)
-    X, y = model._train_X, model._train_y
+def _forest_rank_points(model, F: int, training: FeatureMatrix) -> dict[int, np.ndarray]:
+    X, y = training.X, training.y
+    importance = model.permutation_importance(X, y, seed=0)
     Xc = X.tocsc() if sp.issparse(X) else None
     by_class: dict[int, list[tuple[float, int]]] = {}
     for feat in np.nonzero(importance > 0)[0]:

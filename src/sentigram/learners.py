@@ -138,13 +138,7 @@ def train(kind: str, hp: dict, fm: FeatureMatrix, seed: int = 0) -> "TrainedMode
     classes = np.unique(fm.y)
     if len(classes) == 1:
         return ConstantModel(kind, hp, int(seed), classes, fm.n_features, fm.fingerprint)
-    cls = {
-        "multinomial_nb": MultinomialNB,
-        "logistic_regression": SoftmaxRegression,
-        "linear_svm": LinearSVMOvR,
-        "random_forest": RandomForest,
-    }[kind]
-    model = cls(kind, hp, int(seed), classes, fm.n_features, fm.fingerprint)
+    model = _MODEL_CLASSES[kind](kind, hp, int(seed), classes, fm.n_features, fm.fingerprint)
     model._fit(fm.X, fm.y)
     return model
 
@@ -357,9 +351,14 @@ class LinearSVMOvR(_MiniBatchLinear):
 
 
 class _Tree:
-    """CART tree stored as parallel arrays; splits found on binned codes."""
+    """CART tree stored as parallel node arrays; splits found on binned codes.
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_class")
+    Nodes are appended to lists while the tree grows; ``freeze`` then turns
+    the lists into arrays (also after loading) and maps each split node to
+    its column in the dense submatrix of the ``used`` features.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "leaf_class", "used", "column")
 
     def __init__(self):
         self.feature, self.threshold = [], []
@@ -376,24 +375,25 @@ class _Tree:
             arr.append(fill)
         return len(self.feature) - 1
 
-    def used_features(self):
-        return sorted({f for f in self.feature if f >= 0})
+    def freeze(self):
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=float)
+        self.left = np.asarray(self.left, dtype=np.int64)
+        self.right = np.asarray(self.right, dtype=np.int64)
+        self.leaf_class = np.asarray(self.leaf_class, dtype=np.int64)
+        self.used = sorted(set(self.feature[self.feature >= 0].tolist()))
+        self.column = np.searchsorted(self.used, self.feature)  # read only at split nodes
 
-    def predict_local(self, dense_sub, col_of):
-        """Route rows given a dense submatrix of just this tree's used columns."""
-        n = dense_sub.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        leaf = np.asarray(self.leaf_class)
+    def predict_local(self, dense_sub):
+        """Route rows given a dense submatrix of this tree's ``used`` columns, in order."""
+        node = np.zeros(dense_sub.shape[0], dtype=np.int64)
+        leaf = self.leaf_class
         active = leaf[node] < 0
         while np.any(active):
             rows = np.nonzero(active)[0]
             at = node[rows]
-            vals = dense_sub[rows, col_of[feature[at]]]
-            node[rows] = np.where(vals <= threshold[at], left[at], right[at])
+            vals = dense_sub[rows, self.column[at]]
+            node[rows] = np.where(vals <= self.threshold[at], self.left[at], self.right[at])
             active = leaf[node] < 0
         return leaf[node]
 
@@ -406,11 +406,6 @@ class RandomForest(TrainedModel):
     which keeps node evaluation linear in the node size. Stored thresholds
     are the real midpoints, so prediction routes raw feature values and does
     not depend on the binning. Vote fractions over trees are the scores.
-
-    The fitted model keeps a private reference to its training data so that
-    permutation importance can be computed lazily; the reference is dropped
-    on serialization (a reloaded forest predicts identically but cannot
-    compute importances).
     """
 
     def _fit(self, X, y):
@@ -428,10 +423,8 @@ class RandomForest(TrainedModel):
             rows = rng.integers(0, n, n) if hp["bootstrap"] else np.arange(n)
             tree = _Tree()
             self._grow(tree, codes, thresholds, y_local, k, np.sort(rows), 0, m, rng)
+            tree.freeze()
             self.trees_.append(tree)
-        self._train_X = X
-        self._train_y = y
-        self._importance_cache = None
 
     def _features_per_node(self):
         frac = self.hp["feature_fraction"]
@@ -547,98 +540,75 @@ class RandomForest(TrainedModel):
         votes = self._vote_counts(rows)
         return votes / len(self.trees_)
 
-    def _vote_counts(self, X, override_column=None):
-        n, k = X.shape[0], len(self.classes_)
+    def _route(self, X):
+        """Per tree: the dense copy of its used columns and each row's leaf,
+        as a position in ``classes_``."""
         Xc = X.tocsc() if sp.issparse(X) else X
-        votes = np.zeros((n, k))
         for tree in self.trees_:
-            used = tree.used_features()
-            if used:
-                sub = Xc[:, used].toarray() if sp.issparse(Xc) else Xc[:, used].copy()
-                if override_column is not None and override_column[0] in used:
-                    sub[:, used.index(override_column[0])] = override_column[1]
-                col_map = np.zeros(max(used) + 1, dtype=np.int64)
-                for i, f in enumerate(used):
-                    col_map[f] = i
-                pred = tree.predict_local(sub, col_map)
-            else:
-                pred = np.full(n, tree.leaf_class[0])
-            votes[np.arange(n), np.searchsorted(self.classes_, pred)] += 1.0
+            sub = Xc[:, tree.used].toarray() if sp.issparse(Xc) else Xc[:, tree.used]
+            yield sub, np.searchsorted(self.classes_, tree.predict_local(sub))
+
+    def _vote_counts(self, X):
+        n = X.shape[0]
+        votes = np.zeros((n, len(self.classes_)))
+        for _, leaf_pos in self._route(X):
+            votes[np.arange(n), leaf_pos] += 1.0
         return votes
 
-    def permutation_importance(self, seed: int = 0, max_rows: int = 256) -> np.ndarray:
-        """Mean accuracy drop on (a subsample of) the training data when one
-        feature column is shuffled; features never used in any split have
-        exactly zero importance and are skipped. Only the trees that split on
-        the shuffled feature are re-routed; the other trees' votes are reused.
+    def permutation_importance(self, X, y, seed: int = 0, max_rows: int = 256) -> np.ndarray:
+        """Mean accuracy drop on (a subsample of) the given rows — normally
+        the training data — when one feature column is shuffled; features
+        never used in any split have exactly zero importance and are skipped.
+        Only the trees that split on the shuffled feature are re-routed; the
+        other trees' votes are reused.
         """
-        if getattr(self, "_train_X", None) is None:
-            raise ValueError(
-                "permutation importance needs the fit-time training data; "
-                "it is unavailable on a model reloaded from disk"
-            )
-        if self._importance_cache is not None:
-            return self._importance_cache
+        X, y = self._coerce(X), np.asarray(y)
         rng = np.random.default_rng(seed)
-        X, y = self._train_X, self._train_y
         if X.shape[0] > max_rows:
             keep = rng.choice(X.shape[0], size=max_rows, replace=False)
             keep.sort()
             X, y = X[keep], y[keep]
         n, k = X.shape[0], len(self.classes_)
-        Xc = X.tocsc() if sp.issparse(X) else X
-
-        subs, col_maps, preds = [], [], []
-        trees_with: dict[int, list[int]] = {}
+        subs, preds = [], []
         votes_base = np.zeros((n, k))
-        for t, tree in enumerate(self.trees_):
-            used_t = tree.used_features()
-            if used_t:
-                sub = Xc[:, used_t].toarray() if sp.issparse(Xc) else Xc[:, used_t].copy()
-                col_map = np.zeros(max(used_t) + 1, dtype=np.int64)
-                for i, f in enumerate(used_t):
-                    col_map[f] = i
-                    trees_with.setdefault(f, []).append(t)
-                pred = tree.predict_local(sub, col_map)
-            else:
-                sub, col_map = None, None
-                pred = np.full(n, tree.leaf_class[0])
+        row_ix = np.arange(n)
+        for sub, leaf_pos in self._route(X):
             subs.append(sub)
-            col_maps.append(col_map)
-            preds.append(np.searchsorted(self.classes_, pred))
-            votes_base[np.arange(n), preds[-1]] += 1.0
+            preds.append(leaf_pos)
+            votes_base[row_ix, leaf_pos] += 1.0
+        trees_with: dict[int, list[int]] = {}
+        for t, tree in enumerate(self.trees_):
+            for f in tree.used:
+                trees_with.setdefault(f, []).append(t)
 
         base = np.mean(self.classes_[np.argmax(votes_base, axis=1)] == y)
         importance = np.zeros(self.n_features_)
-        row_ix = np.arange(n)
         for feat in sorted(trees_with):
             col = X[:, [feat]].toarray().ravel() if sp.issparse(X) else X[:, feat]
             shuffled = col[rng.permutation(n)]
             votes = votes_base.copy()
             for t in trees_with[feat]:
-                local = col_maps[t][feat]
+                tree = self.trees_[t]
+                local = tree.used.index(feat)
                 saved = subs[t][:, local].copy()
                 subs[t][:, local] = shuffled
-                new_pred = np.searchsorted(
-                    self.classes_, self.trees_[t].predict_local(subs[t], col_maps[t])
-                )
+                new_pred = np.searchsorted(self.classes_, tree.predict_local(subs[t]))
                 subs[t][:, local] = saved
                 votes[row_ix, preds[t]] -= 1.0
                 votes[row_ix, new_pred] += 1.0
             acc = np.mean(self.classes_[np.argmax(votes, axis=1)] == y)
             importance[feat] = base - acc
-        self._importance_cache = importance
         return importance
 
     def _params(self):
         return {
             "trees": [
                 {
-                    "feature": t.feature,
-                    "threshold": t.threshold,
-                    "left": t.left,
-                    "right": t.right,
-                    "leaf_class": t.leaf_class,
+                    "feature": t.feature.tolist(),
+                    "threshold": t.threshold.tolist(),
+                    "left": t.left.tolist(),
+                    "right": t.right.tolist(),
+                    "leaf_class": t.leaf_class.tolist(),
                 }
                 for t in self.trees_
             ]
@@ -650,15 +620,10 @@ class RandomForest(TrainedModel):
         model.trees_ = []
         for spec in params["trees"]:
             tree = _Tree()
-            tree.feature = list(spec["feature"])
-            tree.threshold = [float(v) for v in spec["threshold"]]
-            tree.left = list(spec["left"])
-            tree.right = list(spec["right"])
-            tree.leaf_class = list(spec["leaf_class"])
+            tree.feature, tree.threshold = spec["feature"], spec["threshold"]
+            tree.left, tree.right, tree.leaf_class = spec["left"], spec["right"], spec["leaf_class"]
+            tree.freeze()
             model.trees_.append(tree)
-        model._train_X = None
-        model._train_y = None
-        model._importance_cache = None
         return model
 
 

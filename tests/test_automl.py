@@ -346,7 +346,6 @@ class TestFitFinalAndSerialization:
         back = load_ensemble(path)
         assert back.fingerprint == ensemble.fingerprint
         assert back.oof_trajectory == ensemble.oof_trajectory
-        assert back.training_matrix is None
         np.testing.assert_allclose(
             back.predict_scores(fm.X), ensemble.predict_scores(fm), atol=1e-15
         )

@@ -90,10 +90,11 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="empty text"):
             load_dataset(path)
 
-    def test_unsupported_format(self, tmp_path):
-        path = write_csv(tmp_path, ["ok,positive"])
-        with pytest.raises(ValueError, match="format"):
-            load_dataset(path, fmt="parquet")
+    def test_utf8_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufefftext,label\ngreat app,positive\n".encode("utf-8"))
+        ds = load_dataset(path)
+        assert [(d.text, d.label) for d in ds.documents] == [("great app", "positive")]
 
     def test_explicit_name_overrides_stem(self, tmp_path):
         path = write_csv(tmp_path, ["ok,positive"])

@@ -319,7 +319,7 @@ class TestTopNgrams:
     def test_naive_bayes_ranks_planted_words_first(self):
         dictionary, fm = _two_word_fixture()
         model = train("multinomial_nb", {"alpha": 1.0}, fm, seed=0)
-        tops = top_ngrams_per_class(model, dictionary, k=2)
+        tops = top_ngrams_per_class(model, dictionary, k=2, training=fm)
         assert tops["positive"] == ["good", "bad"]
         assert tops["negative"] == ["bad", "good"]
         assert tops["neutral"] == []  # class never observed
@@ -332,14 +332,14 @@ class TestTopNgrams:
             fm,
             seed=0,
         )
-        tops = top_ngrams_per_class(model, dictionary, k=1)
+        tops = top_ngrams_per_class(model, dictionary, k=1, training=fm)
         assert tops["positive"] == ["good"]
         assert tops["negative"] == ["bad"]
 
     def test_k_zero_empties_every_list(self):
         dictionary, fm = _two_word_fixture()
         model = train("multinomial_nb", {"alpha": 1.0}, fm, seed=0)
-        assert top_ngrams_per_class(model, dictionary, k=0) == {
+        assert top_ngrams_per_class(model, dictionary, k=0, training=fm) == {
             label: [] for label in LABELS
         }
 
@@ -353,7 +353,7 @@ class TestTopNgrams:
             scheme="count_x_weight",
         )
         model = train("multinomial_nb", {"alpha": 1.0}, fm, seed=0)
-        assert top_ngrams_per_class(model, dictionary, k=5) == {
+        assert top_ngrams_per_class(model, dictionary, k=5, training=fm) == {
             label: [] for label in LABELS
         }
 
@@ -385,7 +385,7 @@ class TestTopNgrams:
             "bootstrap": False,
         }
         model = train("random_forest", hp, fm, seed=0)
-        tops = top_ngrams_per_class(model, dictionary, k=3)
+        tops = top_ngrams_per_class(model, dictionary, k=3, training=fm)
         assert tops == {"positive": ["aa"], "neutral": ["bb"], "negative": ["cc"]}
 
     def test_ensemble_fusion_weights_members_by_multiplicity(self):
@@ -405,9 +405,9 @@ class TestTopNgrams:
                 fingerprint=dictionary.fingerprint,
             )
 
-        tops = top_ngrams_per_class(fake_ensemble(3, 1), dictionary, k=2)
+        tops = top_ngrams_per_class(fake_ensemble(3, 1), dictionary, k=2, training=fm)
         assert tops["positive"] == ["good", "bad"]
-        tops = top_ngrams_per_class(fake_ensemble(1, 3), dictionary, k=2)
+        tops = top_ngrams_per_class(fake_ensemble(1, 3), dictionary, k=2, training=fm)
         assert tops["positive"] == ["bad", "good"]
 
     def test_dictionary_fingerprint_mismatch_raises(self):
@@ -415,7 +415,10 @@ class TestTopNgrams:
         model = train("multinomial_nb", {"alpha": 1.0}, fm, seed=0)
         other = build_dictionary([["good"], ["good"], ["fine"], ["fine"]], max_n=1, min_freq=2)
         with pytest.raises(ValueError, match="different dictionary"):
-            top_ngrams_per_class(model, other, k=2)
+            top_ngrams_per_class(model, other, k=2, training=fm)
+        foreign = FeatureMatrix(X=fm.X, y=fm.y, fingerprint="other", scheme=fm.scheme)
+        with pytest.raises(ValueError, match="different dictionary"):
+            top_ngrams_per_class(model, dictionary, k=2, training=foreign)
 
 
 # ---------------------------------------------------------------------------

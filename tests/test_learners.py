@@ -373,19 +373,22 @@ class TestRandomForest:
         fm = FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count")
         hp = {"n_trees": 15, "max_depth": 4, "feature_fraction": 1.0, "bootstrap": True}
         model = train("random_forest", hp, fm, seed=3)
-        imp = model.permutation_importance(seed=0)
+        imp = model.permutation_importance(fm.X, fm.y, seed=0)
         assert imp.shape == (4,)
         assert imp[2] > 0.2
         assert imp[2] > max(imp[0], imp[1], imp[3])
 
-    def test_permutation_importance_is_cached_and_subsamples(self):
+    def test_permutation_importance_subsamples(self):
         fm = separable_matrix(seed=9)
         hp = {"n_trees": 10, "max_depth": 6, "feature_fraction": 1.0, "bootstrap": True}
         model = train("random_forest", hp, fm, seed=1)
-        first = model.permutation_importance(seed=0, max_rows=8)
-        assert model.permutation_importance(seed=99) is first  # cache wins
+        first = model.permutation_importance(fm.X, fm.y, seed=0, max_rows=8)
+        assert first.shape == (fm.n_features,)
+        np.testing.assert_array_equal(
+            model.permutation_importance(fm.X, fm.y, seed=0, max_rows=8), first
+        )
 
-    def test_reloaded_forest_predicts_identically_but_refuses_importance(self, tmp_path):
+    def test_reloaded_forest_predicts_and_ranks_identically(self, tmp_path):
         fm = separable_matrix(seed=10)
         model = train("random_forest", fast_hp("random_forest"), fm, seed=4)
         path = tmp_path / "forest.json"
@@ -394,8 +397,9 @@ class TestRandomForest:
         np.testing.assert_array_equal(
             back.predict_scores(fm.X), model.predict_scores(fm.X)
         )
-        with pytest.raises(ValueError, match="reloaded"):
-            back.permutation_importance()
+        np.testing.assert_array_equal(
+            back.permutation_importance(fm.X, fm.y), model.permutation_importance(fm.X, fm.y)
+        )
 
 
 class TestSerialization:
