@@ -116,7 +116,6 @@ class Leaderboard:
     entries: list[LeaderboardEntry]
     y: np.ndarray
     fingerprint: str
-    folds: int
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -180,7 +179,7 @@ def search(
             stacklevel=2,
         )
     entries.sort(key=lambda e: (-e.score, e.index))
-    return Leaderboard(entries=entries, y=fm.y, fingerprint=fm.fingerprint, folds=folds)
+    return Leaderboard(entries=entries, y=fm.y, fingerprint=fm.fingerprint)
 
 
 def export_leaderboard(lb: Leaderboard, path) -> None:

@@ -55,8 +55,6 @@ class SplitPlan:
     """Per-round (train_ids, test_ids) partitions of a dataset's id set."""
 
     rounds: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    seed: int
-    test_fraction: float
 
 
 def load_dataset(path: str | Path, name: str | None = None) -> LabeledDataset:
@@ -156,7 +154,7 @@ def stratified_shuffle_splits(
                 f"in both partitions at test_fraction={test_fraction}"
             )
         round_list.append((tuple(sorted(train)), tuple(sorted(test))))
-    return SplitPlan(rounds=tuple(round_list), seed=seed, test_fraction=test_fraction)
+    return SplitPlan(rounds=tuple(round_list))
 
 
 def export_split_plan(plan: SplitPlan, path: str | Path) -> None:

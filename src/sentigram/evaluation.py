@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import automl
 from .corpus import (
@@ -279,13 +278,13 @@ def top_ngrams_per_class(
 ) -> dict[str, list[str]]:
     """Top-k most class-discriminative dictionary phrases per class.
 
-    Scoring by kind: naive Bayes ranks log P(g|c) − max_{c'≠c} log P(g|c');
-    linear models rank the weight margin W[c,g] − max_{c'≠c} W[c',g]; forests
-    rank permutation importance on ``training``, each feature attributed to
-    the majority true class among its nonzero training rows. Ensembles fuse
-    member rankings by multiplicity-weighted Borda points. ``target`` is a
-    trained model or ensemble fitted on ``training``, which was vectorized
-    against ``dictionary``.
+    Each model ranks phrases per class by its ``class_margins(training)``
+    (naive Bayes and linear models: one-vs-best-rest parameter margins;
+    forests: permutation importance, each feature attributed to the majority
+    true class among its nonzero training rows). Ensembles fuse member
+    rankings by multiplicity-weighted Borda points. ``target`` is a trained
+    model or ensemble fitted on ``training``, which was vectorized against
+    ``dictionary``.
     """
     F = len(dictionary)
     members = getattr(target, "members", None)
@@ -301,8 +300,11 @@ def top_ngrams_per_class(
 
     totals: dict[int, np.ndarray] = {}
     for model, mult in weighted:
-        for class_id, points in _rank_points(model, F, training).items():
-            bucket = totals.setdefault(class_id, np.zeros(F))
+        margins = model.class_margins(training)
+        if margins is None:  # constant model: no discrimination signal
+            continue
+        for class_id, points in zip(model.classes_, _borda_points(margins)):
+            bucket = totals.setdefault(int(class_id), np.zeros(F))
             bucket += mult * points
     phrases = [" ".join(p) for p in dictionary.feature_order]
     out: dict[str, list[str]] = {}
@@ -318,57 +320,15 @@ def top_ngrams_per_class(
     return out
 
 
-def _rank_points(model, F: int, training: FeatureMatrix) -> dict[int, np.ndarray]:
-    """Borda points per observed class: the top-ranked feature earns F points."""
-    if getattr(model, "feature_log_prob_", None) is not None:
-        margins = _one_vs_best_rest(model.feature_log_prob_)
-    elif getattr(model, "W_", None) is not None:
-        margins = _one_vs_best_rest(model.W_)
-    elif model.kind == "random_forest" and hasattr(model, "trees_"):
-        return _forest_rank_points(model, F, training)
-    else:  # constant model: no discrimination signal
-        return {}
-    out = {}
-    for i, class_id in enumerate(model.classes_):
-        order = np.argsort(-margins[i], kind="stable")
-        points = np.empty(F)
-        points[order] = np.arange(F, 0, -1)
-        out[int(class_id)] = points
-    return out
-
-
-def _one_vs_best_rest(M: np.ndarray) -> np.ndarray:
-    """Per row i: M[i] − max over other rows (the one-vs-strongest-rival margin)."""
-    k = M.shape[0]
-    out = np.empty_like(M)
-    for i in range(k):
-        others = np.delete(np.arange(k), i)
-        out[i] = M[i] - M[others].max(axis=0)
-    return out
-
-
-def _forest_rank_points(model, F: int, training: FeatureMatrix) -> dict[int, np.ndarray]:
-    X, y = training.X, training.y
-    importance = model.permutation_importance(X, y, seed=0)
-    Xc = X.tocsc() if sp.issparse(X) else None
-    by_class: dict[int, list[tuple[float, int]]] = {}
-    for feat in np.nonzero(importance > 0)[0]:
-        if Xc is not None:
-            rows = Xc.indices[Xc.indptr[feat] : Xc.indptr[feat + 1]]
-        else:
-            rows = np.nonzero(X[:, feat])[0]
-        if len(rows) == 0:
-            continue
-        hit_class = int(np.argmax(np.bincount(y[rows])))
-        by_class.setdefault(hit_class, []).append((float(importance[feat]), int(feat)))
-    out = {}
-    for class_id, pairs in by_class.items():
-        pairs.sort(key=lambda t: (-t[0], t[1]))
-        points = np.zeros(F)
-        for pos, (_, feat) in enumerate(pairs):
-            points[feat] = F - pos
-        out[class_id] = points
-    return out
+def _borda_points(margins: np.ndarray) -> np.ndarray:
+    """Per class row: in stable order of decreasing margin, the finite
+    entries earn F, F-1, … points; non-finite entries (no evidence) earn 0."""
+    F = margins.shape[1]
+    order = np.argsort(-margins, axis=1, kind="stable")
+    points = np.empty(margins.shape)
+    np.put_along_axis(points, order, np.arange(F, 0, -1, dtype=float)[None, :], axis=1)
+    points[~np.isfinite(margins)] = 0.0
+    return points
 
 
 def fuse_rankings(rankings: list[dict[str, list[str]]], k: int) -> dict[str, list[str]]:

@@ -9,7 +9,12 @@ Shared contracts:
     summing to 1 (NB: normalised posteriors; linear models: softmax of
     margins; forest: vote fractions), and argmax of a row equals ``predict``;
   * argmax ties resolve to the lowest label index;
-  * training is deterministic given (kind, hyperparameters, matrix, seed).
+  * training is deterministic given (kind, hyperparameters, matrix, seed);
+  * rows are scipy sparse (CSR, as the package builds them); dense rows
+    raise ValueError;
+  * ``class_margins(training)`` is per-class phrase evidence of shape
+    (len(classes_), n_features): larger is more indicative of the class,
+    ``-inf`` is none; a constant model returns None.
 
 Models serialize to a self-describing JSON container carrying kind, hp, class
 set, parameters, and the dictionary fingerprint of the training matrix;
@@ -136,10 +141,9 @@ def train(kind: str, hp: dict, fm: FeatureMatrix, seed: int = 0) -> "TrainedMode
         raise ValueError("training matrix is empty")
     hp = validate_hp(kind, hp)
     classes = np.unique(fm.y)
-    if len(classes) == 1:
-        return ConstantModel(kind, hp, int(seed), classes, fm.n_features, fm.fingerprint)
-    model = _MODEL_CLASSES[kind](kind, hp, int(seed), classes, fm.n_features, fm.fingerprint)
-    model._fit(fm.X, fm.y)
+    cls = ConstantModel if len(classes) == 1 else _MODEL_CLASSES[kind]
+    model = cls(kind, hp, int(seed), classes, fm.n_features, fm.fingerprint)
+    model._fit(model._coerce(fm), fm.y)
     return model
 
 
@@ -161,6 +165,8 @@ class TrainedModel:
                     "matrix was vectorized against a different dictionary than this model"
                 )
             rows = rows.X
+        if not sp.issparse(rows):
+            raise ValueError(f"expected scipy sparse rows, got {type(rows).__name__}")
         if rows.ndim != 2 or rows.shape[1] != self.n_features_:
             raise ValueError(
                 f"expected {self.n_features_}-column rows, got shape {tuple(rows.shape)}"
@@ -174,6 +180,10 @@ class TrainedModel:
     def predict_scores(self, rows) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def class_margins(self, training: FeatureMatrix) -> np.ndarray | None:  # pragma: no cover
+        """Per-class phrase evidence; ``training`` is the matrix this model was fit on."""
+        raise NotImplementedError
+
     def _params(self) -> dict:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -181,9 +191,15 @@ class TrainedModel:
 class ConstantModel(TrainedModel):
     """Single-class degenerate fit: predicts its only observed class."""
 
+    def _fit(self, X, y):
+        pass
+
     def predict_scores(self, rows):
         rows = self._coerce(rows)
         return np.ones((rows.shape[0], 1))
+
+    def class_margins(self, training):
+        return None  # one class: no discrimination signal
 
     def _params(self):
         return {"constant": True}
@@ -203,7 +219,7 @@ class MultinomialNB(TrainedModel):
 
     def _fit(self, X, y):
         alpha = self.hp["alpha"]
-        Xc = _clamp_nonnegative(X)
+        Xc = X.maximum(0)
         k, F = len(self.classes_), self.n_features_
         log_prob = np.empty((k, F))
         prior = np.empty(k)
@@ -217,11 +233,14 @@ class MultinomialNB(TrainedModel):
         self.feature_log_prob_ = log_prob
 
     def _log_posterior(self, rows):
-        Xc = _clamp_nonnegative(self._coerce(rows))
+        Xc = self._coerce(rows).maximum(0)
         return Xc @ self.feature_log_prob_.T + self.class_log_prior_
 
     def predict_scores(self, rows):
         return softmax(self._log_posterior(rows), axis=1)
+
+    def class_margins(self, training):
+        return _one_vs_best_rest(self.feature_log_prob_)
 
     def _params(self):
         return {
@@ -253,10 +272,7 @@ def softmax_xent_loss_grad(W, b, X, y_local, l2):
     delta = probs
     delta[np.arange(n), y_local] -= 1.0
     delta /= n
-    if sp.issparse(X):
-        grad_W = np.asarray(X.T.dot(delta)).T + l2 * W
-    else:
-        grad_W = delta.T @ X + l2 * W
+    grad_W = (X.T @ delta).T + l2 * W
     grad_b = delta.sum(axis=0)
     return loss, grad_W, grad_b
 
@@ -289,6 +305,9 @@ class _MiniBatchLinear(TrainedModel):
     def predict_scores(self, rows):
         rows = self._coerce(rows)
         return softmax(rows @ self.W_.T + self.b_, axis=1)
+
+    def class_margins(self, training):
+        return _one_vs_best_rest(self.W_)
 
     def _params(self):
         return {"W": self.W_.tolist(), "b": self.b_.tolist()}
@@ -337,10 +356,7 @@ class LinearSVMOvR(_MiniBatchLinear):
         margins = Xb @ self.W_.T + self.b_
         Y = self._signs(yb, len(self.classes_))
         active = (1.0 - Y * margins > 0).astype(float) * Y  # (nb, k)
-        if sp.issparse(Xb):
-            gW = -np.asarray(Xb.T.dot(active)).T / nb + self.hp["l2"] * self.W_
-        else:
-            gW = -(active.T @ Xb) / nb + self.hp["l2"] * self.W_
+        gW = -(Xb.T @ active).T / nb + self.hp["l2"] * self.W_
         gb = -active.sum(axis=0) / nb
         self.W_ -= lr * gW
         self.b_ -= lr * gb
@@ -411,8 +427,7 @@ class RandomForest(TrainedModel):
     def _fit(self, X, y):
         hp = self.hp
         n = X.shape[0]
-        Xc = X.tocsc() if sp.issparse(X) else None
-        codes, thresholds = self._bin_columns(X, Xc)
+        codes, thresholds = self._bin_columns(X.tocsc())
         y_local = np.searchsorted(self.classes_, y)
         k = len(self.classes_)
         m = self._features_per_node()
@@ -432,30 +447,26 @@ class RandomForest(TrainedModel):
             return max(1, int(round(math.sqrt(self.n_features_))))
         return max(1, int(round(frac * self.n_features_)))
 
-    def _bin_columns(self, X, Xc):
+    def _bin_columns(self, Xc):
         """Per-feature uint8 codes plus the real-valued candidate thresholds.
 
         code(v) is computed with searchsorted(side="left") so that
         code <= c  <=>  v <= thresholds[c]; training-time splits on codes and
         prediction-time splits on raw values therefore route identically.
         """
-        n, F = X.shape
+        n, F = Xc.shape
         codes = np.zeros((F, n), dtype=np.uint8)
         thresholds: list[np.ndarray] = [np.empty(0)] * F
         for j in range(F):
-            if Xc is not None:
-                lo, hi = Xc.indptr[j], Xc.indptr[j + 1]
-                vals, where = Xc.data[lo:hi], Xc.indices[lo:hi]
-                if len(vals) == 0:
-                    continue  # all-zero column: constant, unsplittable
-                uniq = np.unique(vals)
-                if len(vals) < n:
-                    uniq = np.unique(np.append(uniq, 0.0))
-                col = np.zeros(n)
-                col[where] = vals
-            else:
-                col = np.asarray(X[:, j], dtype=float)
-                uniq = np.unique(col)
+            lo, hi = Xc.indptr[j], Xc.indptr[j + 1]
+            vals, where = Xc.data[lo:hi], Xc.indices[lo:hi]
+            if len(vals) == 0:
+                continue  # all-zero column: constant, unsplittable
+            uniq = np.unique(vals)
+            if len(vals) < n:
+                uniq = np.unique(np.append(uniq, 0.0))
+            col = np.zeros(n)
+            col[where] = vals
             if len(uniq) < 2:
                 continue
             mids = (uniq[:-1] + uniq[1:]) / 2.0
@@ -536,22 +547,20 @@ class RandomForest(TrainedModel):
         return feat, code, float(thresholds[feat][code])
 
     def predict_scores(self, rows):
-        rows = self._coerce(rows)
-        votes = self._vote_counts(rows)
+        votes = self._vote_counts(self._coerce(rows).tocsc())
         return votes / len(self.trees_)
 
-    def _route(self, X):
-        """Per tree: the dense copy of its used columns and each row's leaf,
-        as a position in ``classes_``."""
-        Xc = X.tocsc() if sp.issparse(X) else X
+    def _route(self, Xc):
+        """Per tree: the dense copy of its used columns of the CSC matrix
+        ``Xc`` and each row's leaf, as a position in ``classes_``."""
         for tree in self.trees_:
-            sub = Xc[:, tree.used].toarray() if sp.issparse(Xc) else Xc[:, tree.used]
+            sub = Xc[:, tree.used].toarray()
             yield sub, np.searchsorted(self.classes_, tree.predict_local(sub))
 
-    def _vote_counts(self, X):
-        n = X.shape[0]
+    def _vote_counts(self, Xc):
+        n = Xc.shape[0]
         votes = np.zeros((n, len(self.classes_)))
-        for _, leaf_pos in self._route(X):
+        for _, leaf_pos in self._route(Xc):
             votes[np.arange(n), leaf_pos] += 1.0
         return votes
 
@@ -568,11 +577,12 @@ class RandomForest(TrainedModel):
             keep = rng.choice(X.shape[0], size=max_rows, replace=False)
             keep.sort()
             X, y = X[keep], y[keep]
+        Xc = X.tocsc()
         n, k = X.shape[0], len(self.classes_)
         subs, preds = [], []
         votes_base = np.zeros((n, k))
         row_ix = np.arange(n)
-        for sub, leaf_pos in self._route(X):
+        for sub, leaf_pos in self._route(Xc):
             subs.append(sub)
             preds.append(leaf_pos)
             votes_base[row_ix, leaf_pos] += 1.0
@@ -584,7 +594,7 @@ class RandomForest(TrainedModel):
         base = np.mean(self.classes_[np.argmax(votes_base, axis=1)] == y)
         importance = np.zeros(self.n_features_)
         for feat in sorted(trees_with):
-            col = X[:, [feat]].toarray().ravel() if sp.issparse(X) else X[:, feat]
+            col = Xc[:, [feat]].toarray().ravel()
             shuffled = col[rng.permutation(n)]
             votes = votes_base.copy()
             for t in trees_with[feat]:
@@ -599,6 +609,20 @@ class RandomForest(TrainedModel):
             acc = np.mean(self.classes_[np.argmax(votes, axis=1)] == y)
             importance[feat] = base - acc
         return importance
+
+    def class_margins(self, training):
+        """Each feature's permutation importance on ``training``, in the row
+        of the majority true class among its nonzero training rows; ``-inf``
+        elsewhere and for features without positive importance."""
+        X, y = self._coerce(training), training.y
+        importance = self.permutation_importance(X, y, seed=0)
+        Xc = X.tocsc()
+        margins = np.full((len(self.classes_), self.n_features_), -np.inf)
+        for feat in np.nonzero(importance > 0)[0]:  # a shuffle that matters has nonzero rows
+            rows = Xc.indices[Xc.indptr[feat] : Xc.indptr[feat + 1]]
+            hit_class = np.argmax(np.bincount(y[rows]))
+            margins[np.searchsorted(self.classes_, hit_class), feat] = importance[feat]
+        return margins
 
     def _params(self):
         return {
@@ -627,10 +651,14 @@ class RandomForest(TrainedModel):
         return model
 
 
-def _clamp_nonnegative(X):
-    if sp.issparse(X):
-        return X.maximum(0)
-    return np.maximum(X, 0)
+def _one_vs_best_rest(M: np.ndarray) -> np.ndarray:
+    """Per row i: M[i] − max over other rows (the one-vs-strongest-rival margin)."""
+    k = M.shape[0]
+    out = np.empty_like(M)
+    for i in range(k):
+        others = np.delete(np.arange(k), i)
+        out[i] = M[i] - M[others].max(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +689,7 @@ def model_to_dict(model: TrainedModel) -> dict:
 def model_from_dict(payload: dict) -> TrainedModel:
     if payload.get("format") != _MODEL_FORMAT:
         raise ValueError(f"not a model container (format={payload.get('format')!r})")
+    _check_kind(payload.get("kind"))
     head = (
         payload["kind"],
         payload["hp"],

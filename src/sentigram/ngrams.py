@@ -207,6 +207,8 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
             raise ValueError(f"{path}: line {lineno}: phrase does not match its length field")
         if not 1 <= dfp <= dft or freq < dfp:
             raise ValueError(f"{path}: line {lineno}: inconsistent frequency columns")
+        if not math.isfinite(weight):
+            raise ValueError(f"{path}: line {lineno}: non-finite weight {fields[5]!r}")
         if phrase in entries:
             raise ValueError(f"{path}: line {lineno}: duplicate phrase {' '.join(phrase)!r}")
         entries[phrase] = NGramEntry(phrase, freq, dfp, dft, weight)

@@ -431,7 +431,7 @@ def _frozen_leaderboard(seed):
     entries = [_entry(archive, y, i) for i, archive in enumerate(archives)]
     entries.sort(key=lambda e: (-e.score, e.index))
     size = int(rng.integers(1, 6))
-    return Leaderboard(entries=entries, y=y, fingerprint="oracle", folds=3), size
+    return Leaderboard(entries=entries, y=y, fingerprint="oracle"), size
 
 
 def _bruteforce_best_score(lb, size):

@@ -41,7 +41,7 @@ def separable_matrix(n_per_class=8, noise=0.05, seed=0, classes=(0, 1, 2)):
     return FeatureMatrix(X=X, y=np.asarray(labels, dtype=np.int64), fingerprint=FP, scheme="count")
 
 
-def make_leaderboard(y, archives, folds=3):
+def make_leaderboard(y, archives):
     """Hand-built leaderboard; archives must already be in solo-score order."""
     y = np.asarray(y)
     entries = []
@@ -59,7 +59,7 @@ def make_leaderboard(y, archives, folds=3):
     assert [e.index for e in sorted(entries, key=lambda e: (-e.score, e.index))] == list(
         range(len(entries))
     ), "fixture archives must be ordered by descending solo score"
-    return Leaderboard(entries=entries, y=y, fingerprint=FP, folds=folds)
+    return Leaderboard(entries=entries, y=y, fingerprint=FP)
 
 
 def brute_force_best_score(lb, size):
@@ -310,7 +310,7 @@ class TestEnsembleSelect:
         lb = self._dominant_fixture()
         with pytest.raises(ValueError, match="size"):
             ensemble_select(lb, size=0)
-        empty = Leaderboard(entries=[], y=np.asarray([0]), fingerprint=FP, folds=3)
+        empty = Leaderboard(entries=[], y=np.asarray([0]), fingerprint=FP)
         with pytest.raises(ValueError, match="empty"):
             ensemble_select(empty, size=2)
 

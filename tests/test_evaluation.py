@@ -19,7 +19,6 @@ from sentigram.evaluation import (
     ClassMetrics,
     EvalReport,
     RunConfig,
-    _one_vs_best_rest,
     confusion_matrix,
     fuse_rankings,
     per_class_prf,
@@ -278,11 +277,6 @@ class TestRunConfigAndReport:
 
 
 class TestRankingHelpers:
-    def test_one_vs_best_rest_margins_by_hand(self):
-        M = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-        expected = np.array([[-2.0, -2.0], [2.0, 2.0], [-3.0, -4.0]])
-        np.testing.assert_allclose(_one_vs_best_rest(M), expected)
-
     def test_fusion_borda_points_and_lexicographic_ties(self):
         fused = fuse_rankings(
             [{"positive": ["b", "a"]}, {"positive": ["a", "b"]}], k=2

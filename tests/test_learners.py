@@ -1,6 +1,7 @@
 """Classifier portfolio: hyperparameter space, each learner's math, shared
 predict contract, determinism, and the JSON serialization round-trip."""
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sentigram.learners import (
     ConstantModel,
     MultinomialNB,
     RandomForest,
+    _one_vs_best_rest,
     default_hp,
     load_model,
     model_from_dict,
@@ -298,6 +300,7 @@ class TestSharedPredictContract:
             assert model.kind == kind
             np.testing.assert_array_equal(model.predict(fm.X), np.ones(fm.n_documents))
             np.testing.assert_array_equal(model.predict_scores(fm.X), 1.0)
+            assert model.class_margins(fm) is None
 
     def test_train_argument_validation(self):
         fm = separable_matrix()
@@ -324,6 +327,26 @@ class TestSharedPredictContract:
         model = train("multinomial_nb", {}, fm)
         with pytest.raises(ValueError, match="column"):
             model.predict(sp.csr_matrix((2, 3)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dense_rows_rejected(self, kind):
+        fm = separable_matrix()
+        model = train(kind, fast_hp(kind), fm, seed=0)
+        with pytest.raises(ValueError, match="sparse"):
+            model.predict_scores(fm.X.toarray())
+
+
+class TestClassMargins:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_row_per_observed_class_and_one_column_per_feature(self, kind):
+        fm = separable_matrix(classes=(0, 2), seed=14)  # 2 classes, 6 features
+        model = train(kind, fast_hp(kind), fm, seed=0)
+        assert model.class_margins(fm).shape == (2, fm.n_features)
+
+    def test_one_vs_best_rest_margins_by_hand(self):
+        M = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+        expected = np.array([[-2.0, -2.0], [2.0, 2.0], [-3.0, -4.0]])
+        np.testing.assert_allclose(_one_vs_best_rest(M), expected)
 
 
 class TestRandomForest:
@@ -437,6 +460,16 @@ class TestSerialization:
     def test_foreign_payload_rejected(self):
         with pytest.raises(ValueError, match="format"):
             model_from_dict({"format": "nonsense/9", "kind": "multinomial_nb"})
+
+    def test_unknown_kind_rejected_on_load(self, tmp_path):
+        payload = model_to_dict(train("multinomial_nb", {}, separable_matrix(seed=16)))
+        payload["kind"] = "svm_rbf"
+        with pytest.raises(ValueError, match="unknown learner kind 'svm_rbf'"):
+            model_from_dict(payload)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown learner kind"):
+            load_model(path)
 
 
 if __name__ == "__main__":

@@ -295,6 +295,17 @@ class TestExportImport:
         with pytest.raises(ValueError, match="inconsistent"):
             import_dictionary(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_import_rejects_non_finite_weight(self, tmp_path, weight):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "phrase\tn\tfreq\tdf_phrase\tdf_terms\tweight\n"
+            f"x\t1\t2\t2\t2\t0.5\ny\t1\t2\t2\t2\t{weight}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="line 3: non-finite weight"):
+            import_dictionary(path)
+
     def test_import_rejects_duplicate_phrase(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text(

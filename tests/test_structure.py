@@ -1,5 +1,6 @@
-"""Package import structure: imports sit at module level, and the search
-(automl) does not depend on the experiment driver (evaluation)."""
+"""Package structure: imports sit at module level, the search (automl) does
+not depend on the experiment driver (evaluation), and the driver reads
+learners only through their public contract."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,17 @@ def test_automl_does_not_import_evaluation():
             imported.append(f"sentigram.{node.module}" if node.level else node.module)
     assert "sentigram.evaluation" not in imported
     assert "sentigram.metrics" in imported
+
+
+def test_evaluation_does_not_name_learner_internals():
+    tree = ast.parse((PACKAGE / "evaluation.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)  # getattr(model, "...") probes
+    internals = {"feature_log_prob_", "W_", "trees_", "permutation_importance"}
+    assert named & internals == set()
