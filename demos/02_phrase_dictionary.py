@@ -64,8 +64,10 @@ def main() -> None:
         export_dictionary(dictionary, path)
         reloaded = import_dictionary(path)
         print(f"dictionaries round-trip through TSV: {len(reloaded)} phrases reloaded,")
-        print(f"  max weight drift {max(abs(reloaded.entries[p].weight - e.weight) for p, e in dictionary.entries.items()):.2e}"
-              " (weights are printed at 6 decimals)")
+        print(
+            f"  weights exact: {reloaded.entries == dictionary.entries}, "
+            f"same fingerprint: {reloaded.fingerprint == dictionary.fingerprint}"
+        )
 
 
 if __name__ == "__main__":

@@ -37,6 +37,8 @@ from .learners import (
 from .metrics import weighted_f1_labels
 
 _ENSEMBLE_FORMAT = "sentigram-ensemble/1"
+# wall-clock search allowance when neither budget is given
+DEFAULT_BUDGET_SECONDS = 60.0
 
 
 @dataclass(frozen=True)
@@ -134,15 +136,15 @@ def search(
     """Random search over the portfolio's configuration space.
 
     Exactly one budget applies: a candidate-count cap (reproducible to the
-    byte) or a wall-clock allowance (default 60 s when neither is given).
-    The first four candidates are the per-kind defaults; at least one
-    candidate always runs, and finishing with fewer than the four defaults
-    emits a warning.
+    byte) or a wall-clock allowance (``DEFAULT_BUDGET_SECONDS`` when neither
+    is given). The first four candidates are the per-kind defaults; at least
+    one candidate always runs, and finishing with fewer than the four
+    defaults emits a warning.
     """
     if max_candidates is not None and budget_seconds is not None:
         raise ValueError("set max_candidates or budget_seconds, not both")
     if max_candidates is None and budget_seconds is None:
-        budget_seconds = 60.0
+        budget_seconds = DEFAULT_BUDGET_SECONDS
     if max_candidates is not None and max_candidates < 1:
         raise ValueError("max_candidates must be >= 1")
     if budget_seconds is not None and budget_seconds <= 0:

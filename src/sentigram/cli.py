@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .automl import ensemble_to_dict, export_leaderboard
+from .automl import DEFAULT_BUDGET_SECONDS, ensemble_to_dict, export_leaderboard
 from .corpus import LABELS, DatasetError, class_distribution, load_dataset
 from .evaluation import RunConfig, fit_pipeline, render_report, run_experiment
 from .features import SCHEMES
@@ -23,6 +23,8 @@ from .ngrams import build_dictionary, export_dictionary
 from .preprocess import load_stoplist, preprocess
 
 ENV_OUT_DIR = "SENTIGRAM_OUT"
+# top-level keys of the payload evaluate writes to report.json
+_REPORT_KEYS = ("config", "dataset", "rounds", "averaged", "pooled", "top_ngrams")
 # RunConfig fields set only by evaluate's protocol flags; train leaves them out
 _PROTOCOL_FIELDS = ("rounds", "test_fraction", "top_ngrams")
 
@@ -61,7 +63,10 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
         "--budget-seconds",
         type=float,
         default=None,
-        help="wall-clock search budget; default 60 when --max-candidates is not set",
+        help=(
+            "wall-clock search budget; default "
+            f"{DEFAULT_BUDGET_SECONDS:g} when --max-candidates is not set"
+        ),
     )
     g.add_argument("--ensemble-size", type=int, default=10, help="greedy selection steps")
     g.add_argument("--no-smote", action="store_true", help="disable minority oversampling")
@@ -172,6 +177,8 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise ValueError(f"report file not found: {path}")
     payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict) or not all(k in payload for k in _REPORT_KEYS):
+        raise ValueError(f"{path}: not a report.json written by evaluate")
     print(render_report(payload), end="")
     return 0
 

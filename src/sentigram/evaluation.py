@@ -370,7 +370,7 @@ def render_report(d: dict) -> str:
     budget = (
         f"max candidates {cfg['max_candidates']}"
         if cfg.get("max_candidates") is not None
-        else f"budget {cfg.get('budget_seconds') or 60.0:g}s"
+        else f"budget {cfg.get('budget_seconds') or automl.DEFAULT_BUDGET_SECONDS:g}s"
     )
     lines.append(
         f"rounds: {cfg['rounds']}  test fraction: {cfg['test_fraction']:g}  "

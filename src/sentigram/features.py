@@ -13,14 +13,13 @@ documents vectorize into the training feature space without refitting.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import LABEL_TO_INDEX, LabeledDataset
 from .ngrams import NGramDictionary
-from .preprocess import StopList, preprocess
 
 SCHEMES = ("count_x_weight", "binary_x_weight", "count")
 
@@ -108,19 +107,6 @@ def vectorize(
     return X
 
 
-def vectorize_corpus(
-    dataset: LabeledDataset,
-    dictionary: NGramDictionary,
-    scheme: str = "count_x_weight",
-    stoplist: StopList | None = None,
-) -> FeatureMatrix:
-    """Preprocess + vectorize a labeled dataset into a FeatureMatrix."""
-    token_docs = [preprocess(doc.text, stoplist) for doc in dataset.documents]
-    X = vectorize(token_docs, dictionary, scheme)
-    y = np.asarray([LABEL_TO_INDEX[doc.label] for doc in dataset.documents], dtype=np.int64)
-    return FeatureMatrix(X=X, y=y, fingerprint=dictionary.fingerprint, scheme=scheme)
-
-
 def smote_oversample(fm: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMatrix:
     """Grow every minority class to the majority size with SMOTE interpolants.
 
@@ -130,7 +116,7 @@ def smote_oversample(fm: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMat
     size minus one when needed), and lam ~ U[0, 1). Original rows are
     preserved verbatim; synthetic rows append after them in generation order.
     Classes absent from y are skipped; a class with a single member cannot be
-    interpolated and raises, naming the class index.
+    interpolated, so it keeps its one row and a RuntimeWarning names it.
     """
     if fm.y is None:
         raise ValueError("smote_oversample requires labels")
@@ -148,10 +134,13 @@ def smote_oversample(fm: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMat
         if need == 0:
             continue
         if count == 1:
-            raise ValueError(
-                f"class {int(class_id)} has a single member; "
-                "SMOTE needs at least 2 to interpolate"
+            warnings.warn(
+                f"class {int(class_id)} has a single member; SMOTE needs at least 2 "
+                "to interpolate, so it keeps its one row",
+                RuntimeWarning,
+                stacklevel=2,
             )
+            continue
         rows = np.nonzero(y == class_id)[0]
         dense = fm.X[rows].toarray()
         k_eff = min(k, len(rows) - 1)

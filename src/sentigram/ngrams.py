@@ -63,14 +63,23 @@ class NGramEntry:
     weight: float
 
 
+def _entry_line(entry: NGramEntry) -> str:
+    """The entry's TSV line; ``repr`` writes the weight so it parses back exactly."""
+    return (
+        f"{' '.join(entry.phrase)}\t{len(entry.phrase)}\t{entry.freq}"
+        f"\t{entry.df_phrase}\t{entry.df_terms}\t{entry.weight!r}"
+    )
+
+
 @dataclass
 class NGramDictionary:
     """The learned feature space: one entry per surviving phrase.
 
     ``feature_order`` (phrases sorted lexicographically) fixes the feature
-    index space shared with vectorization; ``fingerprint`` hashes both the
-    build settings and the entry content so matrices and models can verify
-    they were produced against this exact dictionary.
+    index space shared with vectorization; ``fingerprint`` is the SHA-256 of
+    the entries' TSV lines in that order, so it hashes content only and an
+    exported dictionary re-imports with the same fingerprint. Matrices and
+    models carry it to verify they were produced against this dictionary.
     """
 
     corpus_size: int | None  # None for dictionaries re-imported from TSV
@@ -98,16 +107,8 @@ class NGramDictionary:
         return self._prefixes
 
     def _compute_fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(
-            f"max_n={self.max_n};min_freq={self.min_freq};N={self.corpus_size}\n".encode()
-        )
-        for phrase in self.feature_order:
-            e = self.entries[phrase]
-            digest.update(
-                f"{' '.join(phrase)}\t{e.freq}\t{e.df_phrase}\t{e.df_terms}\t{e.weight:.6f}\n".encode()
-            )
-        return digest.hexdigest()
+        lines = "".join(_entry_line(self.entries[p]) + "\n" for p in self.feature_order)
+        return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGramDictionary:
@@ -166,28 +167,19 @@ def _count_docs_containing_terms(terms: frozenset, postings: dict[str, set[int]]
     return sum(1 for doc_id in smallest if all(doc_id in s for s in rest))
 
 
-def _export_sort_key(entry: NGramEntry):
-    # Sort on the printed 6-decimal weight, not the raw float, so that
-    # export -> import -> export is byte-identical.
-    return (-float(f"{entry.weight:.6f}"), entry.phrase)
-
-
 def export_dictionary(dictionary: NGramDictionary, path: str | Path) -> None:
     """Write the dictionary as TSV: descending weight, then lexicographic phrase."""
-    lines = ["\t".join(DICTIONARY_COLUMNS)]
-    for entry in sorted(dictionary.entries.values(), key=_export_sort_key):
-        lines.append(
-            f"{' '.join(entry.phrase)}\t{len(entry.phrase)}\t{entry.freq}"
-            f"\t{entry.df_phrase}\t{entry.df_terms}\t{entry.weight:.6f}"
-        )
+    entries = sorted(dictionary.entries.values(), key=lambda e: (-e.weight, e.phrase))
+    lines = ["\t".join(DICTIONARY_COLUMNS), *map(_entry_line, entries)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def import_dictionary(path: str | Path) -> NGramDictionary:
     """Re-load an exported dictionary TSV.
 
-    The TSV schema has no corpus-size column, so the result has
-    corpus_size=None and its weights carry the 6-decimal export precision.
+    The result has the exported dictionary's exact weights and fingerprint.
+    The TSV schema has no corpus-size column, so ``corpus_size`` is None;
+    ``max_n`` and ``min_freq`` are the longest phrase and the lowest freq seen.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()

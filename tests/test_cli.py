@@ -11,9 +11,10 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from sentigram.automl import load_ensemble
 from sentigram.cli import main
-from sentigram.corpus import LABEL_TO_INDEX, LABELS
-from sentigram.evaluation import render_report
+from sentigram.corpus import LABEL_TO_INDEX, LABELS, load_dataset
+from sentigram.evaluation import RunConfig, fit_pipeline, render_report
 from sentigram.features import FeatureMatrix, vectorize
 from sentigram.ngrams import build_dictionary, export_dictionary, import_dictionary
 from sentigram.preprocess import preprocess
@@ -206,26 +207,41 @@ class TestTrain:
         assert scores == sorted(scores, reverse=True)
 
     def test_saved_ensemble_predicts_the_training_data(self, train_run):
+        # the saved dictionary and model pair, and reproduce the in-memory
+        # pipeline that train fitted bit for bit
         planted_csv, out_dir, _ = train_run
-        from sentigram.automl import load_ensemble
-
-        ensemble = load_ensemble(out_dir / "model.json")
-        rows = list(csv.reader(open(planted_csv, encoding="utf-8")))[1:]
-        tokens = [preprocess(text) for text, _ in rows]
-        # The TSV is a lossy container (no corpus size), so its re-import gets
-        # a fresh fingerprint; the model pairs with the dictionary rebuilt
-        # from the data exactly as the train command built it.
-        dictionary = build_dictionary(tokens, max_n=1, min_freq=2)
-        assert import_dictionary(out_dir / "dictionary.tsv").fingerprint != dictionary.fingerprint
-        assert ensemble.fingerprint == dictionary.fingerprint
-        y = np.asarray([LABEL_TO_INDEX[label] for _, label in rows])
-        fm = FeatureMatrix(
-            X=vectorize(tokens, dictionary, "count_x_weight"),
-            y=y,
-            fingerprint=dictionary.fingerprint,
-            scheme="count_x_weight",
+        docs = load_dataset(planted_csv).documents
+        cfg = RunConfig(
+            seed=7, use_stopwords=False, max_n=1, folds=3, max_candidates=4, ensemble_size=2
         )
-        assert (ensemble.predict(fm) == y).mean() >= 0.95
+        fitted = fit_pipeline(docs, cfg, None, np.random.SeedSequence(cfg.seed))
+        expected = fitted.featurize(docs)
+
+        dictionary = import_dictionary(out_dir / "dictionary.tsv")
+        ensemble = load_ensemble(out_dir / "model.json")
+        assert dictionary.fingerprint == ensemble.fingerprint == fitted.dictionary.fingerprint
+        tokens = [preprocess(d.text) for d in docs]
+        fm = FeatureMatrix(
+            X=vectorize(tokens, dictionary, cfg.scheme),
+            y=np.asarray([LABEL_TO_INDEX[d.label] for d in docs]),
+            fingerprint=dictionary.fingerprint,
+            scheme=cfg.scheme,
+        )
+        np.testing.assert_array_equal(fm.X.toarray(), expected.X.toarray())
+        np.testing.assert_array_equal(
+            ensemble.predict_scores(fm), fitted.ensemble.predict_scores(expected)
+        )
+        assert (ensemble.predict(fm) == fm.y).mean() >= 0.95
+
+        other = build_dictionary(tokens, max_n=2, min_freq=2)
+        foreign = FeatureMatrix(
+            X=vectorize(tokens, other, cfg.scheme),
+            y=fm.y,
+            fingerprint=other.fingerprint,
+            scheme=cfg.scheme,
+        )
+        with pytest.raises(ValueError, match="different dictionary"):
+            ensemble.predict_scores(foreign)
 
     def test_same_seed_rerun_is_byte_identical(self, train_run, tmp_path):
         planted_csv, out_dir, _ = train_run
@@ -281,6 +297,30 @@ class TestEvaluate:
         assert code == 0
         assert (tmp_path / "report.json").read_bytes() == (out_dir / "report.json").read_bytes()
 
+    def test_class_with_two_documents_warns_and_completes(self, tmp_path):
+        # a stratified split leaves the class one training row, which SMOTE
+        # cannot interpolate; the row is kept as it is
+        data = _write_csv(tmp_path / "tiny.csv", _planted_rows(counts=(10, 8, 2)))
+        with pytest.warns(RuntimeWarning, match="class 2 has a single member"):
+            code, _ = _run(
+                [
+                    "evaluate",
+                    "--data", str(data),
+                    "--no-stopwords",
+                    "--max-n", "1",
+                    "--folds", "3",
+                    "--max-candidates", "4",
+                    "--rounds", "2",
+                    "--test-fraction", "0.25",
+                    "--seed", "5",
+                    "--out-dir", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 0
+        payload = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert payload["dataset"]["class_distribution"]["negative"] == 2
+        assert all(r["n_test"] + r["n_train"] == 20 for r in payload["rounds"])
+
 
 class TestReport:
     def test_rerenders_saved_json(self, evaluate_run, capsys):
@@ -292,6 +332,14 @@ class TestReport:
     def test_missing_report_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.json")]) == 2
         assert "error: report file not found" in capsys.readouterr().err
+
+    def test_non_report_json_exits_2_with_error_line(self, train_run, capsys):
+        _, out_dir, _ = train_run
+        assert main(["report", str(out_dir / "model.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not a report.json" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 class TestErrorHandling:

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sentigram.corpus import LabeledDataset, LabeledDocument
 from sentigram.features import (
     SCHEMES,
     FeatureMatrix,
     _knn_indices,
     smote_oversample,
     vectorize,
-    vectorize_corpus,
 )
 from sentigram.ngrams import build_dictionary
 
@@ -97,24 +95,7 @@ class TestVectorize:
                     assert dense[row, col] == naive_phrase_count(tokens, phrase)
 
 
-class TestVectorizeCorpus:
-    def test_labels_and_fingerprint(self):
-        ds = LabeledDataset(
-            name="t",
-            documents=(
-                LabeledDocument(0, "good work", "positive"),
-                LabeledDocument(1, "good work", "neutral"),
-                LabeledDocument(2, "not good", "negative"),
-                LabeledDocument(3, "work", "positive"),
-            ),
-        )
-        d, _ = toy_dictionary()
-        fm = vectorize_corpus(ds, d, "count")
-        assert fm.fingerprint == d.fingerprint
-        assert fm.scheme == "count"
-        np.testing.assert_array_equal(fm.y, [0, 1, 2, 0])
-        assert fm.n_documents == 4 and fm.n_features == len(d)
-
+class TestFeatureMatrix:
     def test_subset_slices_rows_and_labels(self):
         d, docs = toy_dictionary()
         X = vectorize(docs, d, "count")
@@ -223,11 +204,18 @@ class TestSmote:
         out = smote_oversample(fm, k=5, seed=0)
         assert (out.y == 1).sum() == 9
 
-    def test_single_member_class_raises(self):
+    def test_single_member_class_warns_and_keeps_its_row(self):
         rng = np.random.default_rng(39)
-        fm = random_matrix(rng, {0: 5, 1: 1})
-        with pytest.raises(ValueError, match="class 1"):
-            smote_oversample(fm, k=3, seed=0)
+        fm = random_matrix(rng, {0: 5, 1: 1, 2: 3})
+        with pytest.warns(RuntimeWarning, match="class 1 has a single member"):
+            out = smote_oversample(fm, k=3, seed=0)
+        np.testing.assert_array_equal(np.bincount(out.y), [5, 1, 5])
+        assert (out.X[: fm.n_documents] != fm.X).nnz == 0
+        # the skipped class draws nothing, so the other classes' rows are
+        # those of the same input without it
+        keep = fm.y != 1
+        rest = smote_oversample(fm.subset(np.nonzero(keep)[0]), k=3, seed=0)
+        assert (out.X[fm.n_documents :] != rest.X[keep.sum() :]).nnz == 0
 
     def test_argument_validation(self):
         rng = np.random.default_rng(40)

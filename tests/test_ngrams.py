@@ -206,10 +206,20 @@ class TestDictionaryStructure:
         d1 = build_dictionary(docs, max_n=2, min_freq=2)
         d2 = build_dictionary(docs, max_n=2, min_freq=2)
         assert d1.fingerprint == d2.fingerprint
+        # the fingerprint hashes content only: settings that keep the same
+        # entries keep the same fingerprint
         d3 = build_dictionary(docs, max_n=2, min_freq=1)
-        assert d3.fingerprint != d1.fingerprint
+        assert d3.entries == d1.entries
+        assert d3.fingerprint == d1.fingerprint
+        assert build_dictionary(docs, max_n=3, min_freq=2).fingerprint == d1.fingerprint
         d4 = build_dictionary(docs + [["a", "b"]], max_n=2, min_freq=2)
         assert d4.fingerprint != d1.fingerprint
+        # here min_freq=1 keeps the singletons "c" and "a c"
+        other = [["a", "b"], ["a", "b"], ["a", "c"]]
+        pruned = build_dictionary(other, max_n=2, min_freq=2)
+        unpruned = build_dictionary(other, max_n=2, min_freq=1)
+        assert set(unpruned.entries) - set(pruned.entries) == {("c",), ("a", "c")}
+        assert unpruned.fingerprint != pruned.fingerprint
 
     def test_phrase_prefixes(self):
         entries = {
@@ -245,12 +255,13 @@ class TestExportImport:
         assert set(back.entries) == set(d.entries)
         for phrase, entry in d.entries.items():
             got = back.entries[phrase]
-            assert (got.freq, got.df_phrase, got.df_terms) == (
+            assert (got.freq, got.df_phrase, got.df_terms, got.weight) == (
                 entry.freq,
                 entry.df_phrase,
                 entry.df_terms,
+                entry.weight,
             )
-            assert got.weight == pytest.approx(entry.weight, abs=5e-7)  # 6-decimal export
+        assert back.fingerprint == d.fingerprint
 
     def test_export_sorted_by_weight_then_phrase(self, tmp_path):
         d = self._sample_dictionary()
