@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -261,26 +262,85 @@ def softmax_xent_loss_grad(W, b, X, y_local, l2):
 
     W: (k, F), b: (k,), y_local: class indices 0..k-1 aligned with X rows.
     Returns (loss, grad_W, grad_b). The bias is unregularized. This is the
-    exact function the trainer descends, exposed so the gradient can be
-    checked against finite differences.
+    exact function the trainer descends: its step shares ``_xent_delta`` and
+    takes the same products, bit for bit, on each batch. It is exposed so the
+    gradient can be checked against finite differences.
     """
-    n = X.shape[0]
-    logits = X @ W.T + b
-    probs = softmax(logits, axis=1)
-    picked = probs[np.arange(n), y_local]
-    loss = -np.mean(np.log(np.maximum(picked, 1e-300))) + 0.5 * l2 * float(np.sum(W * W))
-    delta = probs
-    delta[np.arange(n), y_local] -= 1.0
-    delta /= n
-    grad_W = (X.T @ delta).T + l2 * W
-    grad_b = delta.sum(axis=0)
-    return loss, grad_W, grad_b
+    probs = softmax(X @ W.T + b, axis=1)
+    loss = _xent_loss(probs, y_local, W, l2)
+    delta = _xent_delta(probs, y_local)
+    return loss, (X.T @ delta).T + l2 * W, delta.sum(axis=0)
+
+
+def _xent_loss(probs, y_local, W, l2):
+    picked = probs[np.arange(len(y_local)), y_local]
+    return -np.mean(np.log(np.maximum(picked, 1e-300))) + 0.5 * l2 * float(np.sum(W * W))
+
+
+def _xent_delta(probs, y_local):
+    """The mean loss's gradient with respect to the logits, computed in ``probs``."""
+    n = len(y_local)
+    probs[np.arange(n), y_local] -= 1.0
+    probs /= n
+    return probs
+
+
+class _Rows(NamedTuple):
+    """Rows of a CSR matrix as raw arrays: its structure plus each stored
+    entry's row.
+
+    The products sum each output element's terms in stored-entry order,
+    starting from 0.0, as scipy's ``csr_matvecs``/``csc_matvecs`` do, so they
+    equal ``X @ W.T`` and ``(X.T @ D).T`` on the same rows bit for bit.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def of(cls, X):
+        """All rows of CSR ``X``."""
+        row = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+        return cls(X.indptr, X.indices, X.data, row, X.shape[1])
+
+    @property
+    def n_rows(self):
+        return len(self.indptr) - 1
+
+    def block(self, start, stop):
+        """Rows [start, stop), as views of these arrays."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return _Rows(
+            self.indptr[start : stop + 1] - lo,
+            self.indices[lo:hi],
+            self.data[lo:hi],
+            self.row[lo:hi] - start,
+            self.n_cols,
+        )
+
+    def times(self, W):
+        """``X @ W.T``, a C-ordered (n_rows, k) array."""
+        k = W.shape[0]
+        bins = self.row * k + np.arange(k)[:, None]
+        terms = W[:, self.indices] * self.data
+        return np.bincount(bins.ravel(), terms.ravel(), self.n_rows * k).reshape(self.n_rows, k)
+
+    def t_times(self, D):
+        """``(X.T @ D).T``, a (k, n_cols) array."""
+        k = D.shape[1]
+        bins = self.indices + self.n_cols * np.arange(k)[:, None]
+        terms = D.T[:, self.row] * self.data
+        return np.bincount(bins.ravel(), terms.ravel(), k * self.n_cols).reshape(k, self.n_cols)
 
 
 class _MiniBatchLinear(TrainedModel):
     """Shared epoch/minibatch scaffolding for the two linear models."""
 
     def _fit(self, X, y):
+        X = X.tocsr()
         k, F = len(self.classes_), self.n_features_
         y_local = np.searchsorted(self.classes_, y)
         self.W_ = np.zeros((k, F))
@@ -293,9 +353,10 @@ class _MiniBatchLinear(TrainedModel):
         for epoch in range(self.hp["epochs"]):
             lr = lr0 / (1.0 + 0.05 * epoch)
             order = rng.permutation(n)
+            shuffled = _Rows.of(X[order])  # one row copy per epoch; batches are its slices
             for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                self._step(X[idx], y_local[idx], lr)
+                stop = min(start + batch, n)
+                self._step(shuffled.block(start, stop), y_local[order[start:stop]], lr)
             loss = self._objective(X, y_local)
             self.loss_history_.append(loss)
             prev = self.loss_history_[-2]
@@ -324,12 +385,13 @@ class SoftmaxRegression(_MiniBatchLinear):
     """Multiclass logistic regression via mini-batch SGD on the softmax loss."""
 
     def _objective(self, X, y_local):
-        return softmax_xent_loss_grad(self.W_, self.b_, X, y_local, self.hp["l2"])[0]
+        probs = softmax(X @ self.W_.T + self.b_, axis=1)
+        return _xent_loss(probs, y_local, self.W_, self.hp["l2"])
 
-    def _step(self, Xb, yb, lr):
-        _, gW, gb = softmax_xent_loss_grad(self.W_, self.b_, Xb, yb, self.hp["l2"])
-        self.W_ -= lr * gW
-        self.b_ -= lr * gb
+    def _step(self, batch, yb, lr):
+        delta = _xent_delta(softmax(batch.times(self.W_) + self.b_, axis=1), yb)
+        self.W_ -= lr * (batch.t_times(delta) + self.hp["l2"] * self.W_)
+        self.b_ -= lr * delta.sum(axis=0)
 
 
 class LinearSVMOvR(_MiniBatchLinear):
@@ -351,12 +413,12 @@ class LinearSVMOvR(_MiniBatchLinear):
         hinge = np.maximum(0.0, 1.0 - Y * margins).mean(axis=0).sum()
         return float(hinge + 0.5 * self.hp["l2"] * np.sum(self.W_ * self.W_))
 
-    def _step(self, Xb, yb, lr):
-        nb = Xb.shape[0]
-        margins = Xb @ self.W_.T + self.b_
+    def _step(self, batch, yb, lr):
+        nb = len(yb)
+        margins = batch.times(self.W_) + self.b_
         Y = self._signs(yb, len(self.classes_))
         active = (1.0 - Y * margins > 0).astype(float) * Y  # (nb, k)
-        gW = -(Xb.T @ active).T / nb + self.hp["l2"] * self.W_
+        gW = -batch.t_times(active) / nb + self.hp["l2"] * self.W_
         gb = -active.sum(axis=0) / nb
         self.W_ -= lr * gW
         self.b_ -= lr * gb
@@ -414,20 +476,39 @@ class _Tree:
         return leaf[node]
 
 
+class _Bins(NamedTuple):
+    """One fit's binned training matrix: the CSR structure with each stored
+    entry's value code, and per feature the code of the value 0 (not always
+    0: values can be negative) and the number of codes. Feature j's
+    thresholds are ``thresholds[offsets[j]:offsets[j + 1]]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    codes: np.ndarray
+    zero_code: np.ndarray
+    n_codes: np.ndarray
+    thresholds: np.ndarray
+    offsets: np.ndarray
+
+
 class RandomForest(TrainedModel):
     """Bagged CART forest with per-node feature subsampling.
 
     Split search runs on per-feature binned value codes (at most 32 candidate
-    thresholds per feature, placed midway between adjacent observed values),
-    which keeps node evaluation linear in the node size. Stored thresholds
-    are the real midpoints, so prediction routes raw feature values and does
-    not depend on the binning. Vote fractions over trees are the scores.
+    thresholds per feature, placed midway between adjacent observed values).
+    A node visits only its rows' stored entries: a feature's zero-valued rows
+    all share one code, whose class counts are the node's counts minus those
+    of the feature's stored entries, so a node's histogram costs time in
+    proportion to its nonzeros, not to its rows times the sampled features.
+    Stored thresholds are the real midpoints, so prediction routes raw
+    feature values and does not depend on the binning. Vote fractions over
+    trees are the scores.
     """
 
     def _fit(self, X, y):
         hp = self.hp
         n = X.shape[0]
-        codes, thresholds = self._bin_columns(X.tocsc())
+        bins = self._bin_entries(X)
         y_local = np.searchsorted(self.classes_, y)
         k = len(self.classes_)
         m = self._features_per_node()
@@ -437,7 +518,7 @@ class RandomForest(TrainedModel):
             rng = np.random.default_rng(child)
             rows = rng.integers(0, n, n) if hp["bootstrap"] else np.arange(n)
             tree = _Tree()
-            self._grow(tree, codes, thresholds, y_local, k, np.sort(rows), 0, m, rng)
+            self._grow(tree, bins, y_local, k, np.sort(rows), 0, m, rng)
             tree.freeze()
             self.trees_.append(tree)
 
@@ -447,36 +528,55 @@ class RandomForest(TrainedModel):
             return max(1, int(round(math.sqrt(self.n_features_))))
         return max(1, int(round(frac * self.n_features_)))
 
-    def _bin_columns(self, Xc):
-        """Per-feature uint8 codes plus the real-valued candidate thresholds.
+    @staticmethod
+    def _bin_entries(X) -> _Bins:
+        """Bin every stored entry of X against its feature's thresholds.
 
-        code(v) is computed with searchsorted(side="left") so that
+        A feature's thresholds are the midpoints between its adjacent
+        distinct values, 0.0 among them when some row does not store it;
+        more than 32 are thinned to 32 spread evenly. code(v) counts the
+        thresholds below v (searchsorted, side="left"), so that
         code <= c  <=>  v <= thresholds[c]; training-time splits on codes and
         prediction-time splits on raw values therefore route identically.
         """
-        n, F = Xc.shape
-        codes = np.zeros((F, n), dtype=np.uint8)
-        thresholds: list[np.ndarray] = [np.empty(0)] * F
-        for j in range(F):
-            lo, hi = Xc.indptr[j], Xc.indptr[j + 1]
-            vals, where = Xc.data[lo:hi], Xc.indices[lo:hi]
-            if len(vals) == 0:
-                continue  # all-zero column: constant, unsplittable
-            uniq = np.unique(vals)
-            if len(vals) < n:
-                uniq = np.unique(np.append(uniq, 0.0))
-            col = np.zeros(n)
-            col[where] = vals
-            if len(uniq) < 2:
-                continue
-            mids = (uniq[:-1] + uniq[1:]) / 2.0
-            if len(mids) > 32:
-                mids = mids[np.linspace(0, len(mids) - 1, 32).round().astype(int)]
-            codes[j] = np.searchsorted(mids, col, side="left")
-            thresholds[j] = mids
-        return codes, thresholds
+        X = X.tocsr()
+        if not X.has_canonical_format:
+            X = X.copy()
+            X.sum_duplicates()
+        n, F = X.shape
+        stored = np.bincount(X.indices, minlength=F)
+        unstored = np.nonzero((stored > 0) & (stored < n))[0]
+        feat = np.concatenate((X.indices, unstored))
+        value = np.concatenate((X.data, np.zeros(len(unstored))))
+        order = np.lexsort((value, feat))
+        feat, value = feat[order], value[order]
+        distinct = np.ones(len(feat), dtype=bool)
+        distinct[1:] = (feat[1:] != feat[:-1]) | (value[1:] != value[:-1])
+        feat, value = feat[distinct], value[distinct]
+        pair = feat[1:] == feat[:-1]
+        mid_feat = feat[1:][pair]
+        mids = ((value[:-1] + value[1:]) / 2.0)[pair]
+        count = np.bincount(mid_feat, minlength=F)
+        keep = count[mid_feat] <= 32
+        first = np.cumsum(count) - count
+        for j in np.nonzero(count > 32)[0]:
+            keep[first[j] + np.linspace(0, count[j] - 1, 32).round().astype(int)] = True
+        mid_feat, mids = mid_feat[keep], mids[keep]
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(mid_feat, minlength=F))))
+        # An entry's code is the number of its feature's thresholds sorted before
+        # it, with an entry placed before a threshold equal to its value.
+        is_mid = np.arange(X.nnz + len(mids)) >= X.nnz
+        order = np.lexsort(
+            (is_mid, np.concatenate((X.data, mids)), np.concatenate((X.indices, mid_feat)))
+        )
+        below = np.cumsum(is_mid[order]) - is_mid[order]
+        entries = order[~is_mid[order]]
+        codes = np.empty(X.nnz, dtype=np.int64)
+        codes[entries] = below[~is_mid[order]] - offsets[X.indices[entries]]
+        zero_code = np.bincount(mid_feat[mids < 0.0], minlength=F)
+        return _Bins(X.indptr, X.indices, codes, zero_code, np.diff(offsets) + 1, mids, offsets)
 
-    def _grow(self, tree, codes, thresholds, y_local, k, rows, depth, m, rng):
+    def _grow(self, tree, bins, y_local, k, rows, depth, m, rng):
         node = tree._new_node()
         counts = np.bincount(y_local[rows], minlength=k)
         if (
@@ -486,65 +586,81 @@ class RandomForest(TrainedModel):
         ):
             tree.leaf_class[node] = int(self.classes_[np.argmax(counts)])
             return node
-        split = self._best_split(codes, thresholds, y_local, k, rows, m, rng, counts)
+        split = self._best_split(bins, y_local, k, rows, m, rng, counts)
         if split is None:
             tree.leaf_class[node] = int(self.classes_[np.argmax(counts)])
             return node
-        feat, code, thr = split
-        go_left = codes[feat, rows] <= code
+        feat, thr, go_left = split
         tree.feature[node] = feat
         tree.threshold[node] = thr
-        tree.left[node] = self._grow(
-            tree, codes, thresholds, y_local, k, rows[go_left], depth + 1, m, rng
-        )
-        tree.right[node] = self._grow(
-            tree, codes, thresholds, y_local, k, rows[~go_left], depth + 1, m, rng
-        )
+        tree.left[node] = self._grow(tree, bins, y_local, k, rows[go_left], depth + 1, m, rng)
+        tree.right[node] = self._grow(tree, bins, y_local, k, rows[~go_left], depth + 1, m, rng)
         return node
 
-    def _best_split(self, codes, thresholds, y_local, k, rows, m, rng, counts):
-        """One vectorized histogram pass over all sampled features.
+    def _best_split(self, bins, y_local, k, rows, m, rng, counts):
+        """One histogram pass over the node's stored entries of the sampled features.
 
         Impurities are node-size-scaled Gini (n - sum(counts^2)/n) so the gain
         comparison never divides by child sizes. Ties resolve to the lowest
-        feature index, then the lowest split code.
+        feature index, then the lowest split code. Returns None or
+        ``(feature, threshold, go_left)``, ``go_left`` a mask over ``rows``.
         """
-        if self.n_features_ == 0:
+        F = self.n_features_
+        if F == 0:
             return None
         n_node = len(rows)
         parent_impurity = n_node - np.sum(counts.astype(float) ** 2) / n_node
-        candidates = np.sort(
-            rng.choice(self.n_features_, size=min(m, self.n_features_), replace=False)
-        )
-        n_codes = np.asarray([len(thresholds[f]) + 1 for f in candidates])
-        max_codes = int(n_codes.max())
-        if max_codes < 2:
+        candidates = np.sort(rng.choice(F, size=min(m, F), replace=False))
+        # the rows' stored entries, in row order; a row repeated by the bootstrap repeats them
+        starts = bins.indptr[rows]
+        lengths = bins.indptr[rows + 1] - starts
+        entry = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        slot = np.full(F, -1)
+        slot[candidates] = np.arange(len(candidates))
+        cand = slot[bins.indices[entry]]
+        keep = cand >= 0
+        entry, cand = entry[keep], cand[keep]
+        position = np.repeat(np.arange(n_node), lengths)[keep]  # the entry's index into rows
+        # A candidate with no entry here is constant on the node: all its splits are invalid.
+        present = np.bincount(cand, minlength=len(candidates)) > 0
+        if not present.any():
             return None
-        y_rows = y_local[rows]
-        sub = codes[np.ix_(candidates, rows)]  # (m, n_node)
-        hist = np.zeros((len(candidates), max_codes, k))
-        np.add.at(hist, (np.arange(len(candidates))[:, None], sub, y_rows[None, :]), 1.0)
-        left = np.cumsum(hist, axis=1)[:, :-1, :]  # split at code c: codes <= c go left
-        nl = left.sum(axis=2)
+        # Integer class counts, class-major; each feature's codes are one
+        # segment of the second axis, the features in ascending order.
+        feats = candidates[present]
+        n_codes = bins.n_codes[feats]
+        a, slots = len(feats), int(n_codes.sum())
+        first = np.cumsum(n_codes) - n_codes
+        local = (np.cumsum(present) - 1)[cand]  # the entry's index into feats
+        y_entry = y_local[rows[position]]
+        hist = np.bincount(
+            y_entry * slots + first[local] + bins.codes[entry], minlength=k * slots
+        ).reshape(k, slots)
+        stored = np.bincount(y_entry * a + local, minlength=k * a).reshape(k, a)
+        zero = bins.zero_code[feats]
+        hist[:, first + zero] += counts[:, None] - stored
+        # split at code c: codes <= c go left (a feature's last code sends every row left)
+        cum = np.cumsum(hist, axis=1)
+        left = cum - np.repeat(cum[:, first] - hist[:, first], n_codes, axis=1)
+        nl = left.sum(axis=0)
         nr = n_node - nl
-        right = counts.astype(float)[None, None, :] - left
-        safe_nl = np.maximum(nl, 1.0)
-        safe_nr = np.maximum(nr, 1.0)
-        impurity = (nl - (left**2).sum(axis=2) / safe_nl) + (nr - (right**2).sum(axis=2) / safe_nr)
-        min_leaf = self.hp["min_samples_leaf"]
-        invalid = (
-            (nl < min_leaf)
-            | (nr < min_leaf)
-            | (np.arange(max_codes - 1)[None, :] >= (n_codes - 1)[:, None])
+        right = counts[:, None] - left
+        impurity = (nl - (left**2).sum(axis=0) / np.maximum(nl, 1)) + (
+            nr - (right**2).sum(axis=0) / np.maximum(nr, 1)
         )
-        impurity[invalid] = np.inf
-        flat = int(np.argmin(impurity))  # ties: lowest feature index, then lowest code
-        fi, code = divmod(flat, max_codes - 1)
-        gain = (parent_impurity - impurity[fi, code]) / n_node
+        min_leaf = self.hp["min_samples_leaf"]
+        impurity[(nl < min_leaf) | (nr < min_leaf)] = np.inf
+        best = int(np.argmin(impurity))  # ties: lowest feature index, then lowest code
+        fi = int(np.searchsorted(first, best, side="right")) - 1
+        code = best - int(first[fi])
+        gain = (parent_impurity - impurity[best]) / n_node
         if not np.isfinite(gain) or gain <= 1e-12:
             return None
-        feat = int(candidates[fi])
-        return feat, code, float(thresholds[feat][code])
+        go_left = np.full(n_node, zero[fi] <= code)
+        hit = local == fi
+        go_left[position[hit]] = bins.codes[entry[hit]] <= code
+        feat = int(feats[fi])
+        return feat, float(bins.thresholds[bins.offsets[feat] + code]), go_left
 
     def predict_scores(self, rows):
         votes = self._vote_counts(self._coerce(rows).tocsc())

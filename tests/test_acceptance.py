@@ -522,6 +522,7 @@ def _planted_documents(counts, seed):
     return documents
 
 
+@pytest.mark.slow
 def test_09_planted_signal_recovered_end_to_end():
     ds = LabeledDataset(
         name="planted-600", documents=tuple(_planted_documents((300, 200, 100), seed=99))

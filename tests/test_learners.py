@@ -17,6 +17,7 @@ from sentigram.learners import (
     MultinomialNB,
     RandomForest,
     _one_vs_best_rest,
+    _Rows,
     default_hp,
     load_model,
     model_from_dict,
@@ -245,6 +246,51 @@ class TestLinearTraining:
         )
 
 
+class TestMiniBatchStep:
+    """Each batch is a slice of the epoch's permuted rows; its products and
+    steps equal scipy's on ``X[idx]``, bit for bit."""
+
+    def _fixture(self):
+        rng = np.random.default_rng(57)
+        n, F, k = 20, 9, 3
+        dense = rng.normal(size=(n, F)) * (rng.random((n, F)) < 0.4)
+        dense[3] = 0.0  # an all-zero row
+        y = rng.integers(0, k, size=n)
+        y[:k] = np.arange(k)
+        return sp.csr_matrix(dense), y, rng.normal(size=(k, F)), rng.normal(size=k)
+
+    def test_block_products_equal_scipy_on_the_same_rows(self):
+        X, y, W, _ = self._fixture()
+        order = np.random.default_rng(0).permutation(X.shape[0])
+        shuffled = _Rows.of(X[order])
+        D = np.random.default_rng(1).normal(size=(X.shape[0], W.shape[0]))
+        for start, stop in ((0, 7), (7, 14), (14, 20)):
+            idx = order[start:stop]
+            block = shuffled.block(start, stop)
+            np.testing.assert_array_equal(block.times(W), X[idx] @ W.T)
+            Db = D[start:stop]
+            np.testing.assert_array_equal(block.t_times(Db), (X[idx].T @ Db).T)
+
+    @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm"])
+    def test_step_descends_the_scipy_gradient(self, kind):
+        X, y, W, b = self._fixture()
+        model = train(kind, fast_hp(kind), FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count"))
+        l2, lr, nb = model.hp["l2"], 0.3, 8
+        Xb, yb = X[:nb], y[:nb]  # holds the all-zero row 3
+        model.W_, model.b_ = W.copy(), b.copy()
+        model._step(_Rows.of(X).block(0, nb), yb, lr)
+        if kind == "logistic_regression":
+            _, gW, gb = softmax_xent_loss_grad(W, b, Xb, yb, l2)
+        else:
+            Y = -np.ones((nb, len(b)))
+            Y[np.arange(nb), yb] = 1.0
+            active = (1.0 - Y * (Xb @ W.T + b) > 0).astype(float) * Y
+            gW = -(Xb.T @ active).T / nb + l2 * W
+            gb = -active.sum(axis=0) / nb
+        np.testing.assert_array_equal(model.W_, W - lr * gW)
+        np.testing.assert_array_equal(model.b_, b - lr * gb)
+
+
 class TestSharedPredictContract:
     @pytest.mark.parametrize("kind", KINDS)
     def test_reaches_full_training_accuracy_on_separable_data(self, kind):
@@ -423,6 +469,178 @@ class TestRandomForest:
         np.testing.assert_array_equal(
             back.permutation_importance(fm.X, fm.y), model.permutation_importance(fm.X, fm.y)
         )
+
+
+def split_fixture(seed, full_column=False, n=60, F=10, k=3):
+    """Sparse rows for the split search's edge cases: negative values (so a
+    zero code above 0), stored 0.0 entries, all-zero rows 7 and 8 or, with
+    ``full_column``, a column stored in every row, and a column with more
+    than 33 distinct values."""
+    rng = np.random.default_rng(seed)
+    dense = rng.choice([0.0, 1.0, 2.0, -1.5, 3.0], size=(n, F), p=[0.7, 0.1, 0.1, 0.05, 0.05])
+    dense[:, 0] = rng.normal(size=n) * (rng.random(n) < 0.8)
+    dense[:, 1] = -rng.integers(1, 4, size=n) * (rng.random(n) < 0.5)  # only values <= 0
+    if full_column:
+        dense[:, 2] = rng.uniform(1.0, 2.0, size=n).round(1)
+    else:
+        dense[[7, 8]] = 0.0
+    coo = sp.coo_matrix(dense)
+    zeros = [(r, 3) for r in range(0, n, 5) if dense[r, 3] == 0.0]
+    X = sp.csr_matrix(
+        (
+            np.append(coo.data, [0.0] * len(zeros)),
+            (np.append(coo.row, [r for r, _ in zeros]), np.append(coo.col, [c for _, c in zeros])),
+        ),
+        shape=(n, F),
+    )
+    assert X.nnz > np.count_nonzero(dense)  # stored zeros survive
+    y = rng.integers(0, k, size=n)
+    y[[7, 8]] = [0, 1]
+    return X, y
+
+
+def dense_binning(X):
+    """Every row's code per feature, from the dense matrix: the reference binning."""
+    dense = X.toarray()
+    codes = np.zeros(dense.shape[::-1], dtype=np.int64)
+    thresholds = []
+    for j, col in enumerate(dense.T):
+        uniq = np.unique(col)
+        mids = (uniq[:-1] + uniq[1:]) / 2.0
+        if len(mids) > 32:
+            mids = mids[np.linspace(0, len(mids) - 1, 32).round().astype(int)]
+        codes[j] = np.searchsorted(mids, col, side="left")
+        thresholds.append(mids)
+    return codes, thresholds
+
+
+def dense_split(codes, thresholds, y, k, rows, candidates, min_leaf):
+    """Reference split search: a dense (candidates, codes, classes) histogram
+    filled with np.add.at over every row of the node."""
+    counts = np.bincount(y[rows], minlength=k)
+    n_node = len(rows)
+    parent = n_node - np.sum(counts.astype(float) ** 2) / n_node
+    n_codes = np.asarray([len(thresholds[f]) + 1 for f in candidates])
+    width = int(n_codes.max())
+    if width < 2:
+        return None
+    hist = np.zeros((len(candidates), width, k))
+    sub = codes[np.ix_(candidates, rows)]
+    np.add.at(hist, (np.arange(len(candidates))[:, None], sub, y[rows][None, :]), 1.0)
+    left = np.cumsum(hist, axis=1)[:, :-1, :]
+    nl = left.sum(axis=2)
+    nr = n_node - nl
+    right = counts.astype(float)[None, None, :] - left
+    impurity = (nl - (left**2).sum(axis=2) / np.maximum(nl, 1.0)) + (
+        nr - (right**2).sum(axis=2) / np.maximum(nr, 1.0)
+    )
+    padding = np.arange(width - 1)[None, :] >= (n_codes - 1)[:, None]
+    impurity[(nl < min_leaf) | (nr < min_leaf) | padding] = np.inf
+    fi, code = divmod(int(np.argmin(impurity)), width - 1)
+    gain = (parent - impurity[fi, code]) / n_node
+    if not np.isfinite(gain) or gain <= 1e-12:
+        return None
+    feat = int(candidates[fi])
+    return feat, code, float(thresholds[feat][code])
+
+
+class TestSparseSplitSearch:
+    """The split search over a node's stored entries equals the dense reference."""
+
+    FRACTIONS = HP_SPACE["random_forest"]["feature_fraction"][1]
+
+    @staticmethod
+    def _forest(n_features, **hp):
+        return RandomForest(
+            "random_forest", validate_hp("random_forest", hp), 0, np.arange(3), n_features, FP
+        )
+
+    @pytest.mark.parametrize("full_column", [False, True])
+    def test_random_nodes_split_like_the_dense_reference(self, full_column):
+        X, y = split_fixture(20 + full_column, full_column)
+        codes, thresholds = dense_binning(X)
+        bins = RandomForest._bin_entries(X)
+        assert bins.zero_code[1] > 0
+        rng = np.random.default_rng(58)
+        splits = 0
+        for trial in range(160):
+            frac = self.FRACTIONS[trial % 4]
+            leaf = 1 + trial % 4 if trial % 8 < 4 else 4 - trial % 4
+            model = self._forest(X.shape[1], feature_fraction=frac, min_samples_leaf=leaf)
+            size = int(rng.integers(2, X.shape[0] + 1))
+            if trial % 2:  # a bootstrap node repeats rows
+                rows = np.sort(rng.integers(0, X.shape[0], size))
+            else:
+                rows = np.sort(rng.choice(X.shape[0], size, replace=False))
+            counts = np.bincount(y[rows], minlength=3)
+            m = model._features_per_node()
+            got = model._best_split(bins, y, 3, rows, m, np.random.default_rng(trial), counts)
+            candidates = np.sort(
+                np.random.default_rng(trial).choice(X.shape[1], size=m, replace=False)
+            )
+            want = dense_split(codes, thresholds, y, 3, rows, candidates, leaf)
+            if want is None:
+                assert got is None
+                continue
+            splits += 1
+            feat, code, thr = want
+            assert got[:2] == (feat, thr)
+            np.testing.assert_array_equal(got[2], codes[feat, rows] <= code)
+        assert splits > 80
+
+    @pytest.mark.parametrize("full_column", [False, True])
+    def test_binning_matches_the_dense_reference(self, full_column):
+        X, _ = split_fixture(24, full_column)
+        codes, thresholds = dense_binning(X)
+        assert max(len(t) for t in thresholds) == 32  # column 0 is thinned
+        bins = RandomForest._bin_entries(X)
+        for j, want in enumerate(thresholds):
+            np.testing.assert_array_equal(
+                bins.thresholds[bins.offsets[j] : bins.offsets[j + 1]], want
+            )
+        np.testing.assert_array_equal(bins.n_codes, [len(t) + 1 for t in thresholds])
+        np.testing.assert_array_equal(
+            bins.zero_code, [np.searchsorted(t, 0.0, side="left") for t in thresholds]
+        )
+        rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+        np.testing.assert_array_equal(bins.codes, codes[X.indices, rows])
+
+    def test_node_without_a_splittable_feature_has_no_split(self):
+        X, y = split_fixture(22)
+        all_zero = np.asarray([7, 7, 8, 8])  # rows without a stored entry
+        constant = sp.csr_matrix(np.ones((X.shape[0], 2)))  # one code per feature
+        for X, rows in ((X, all_zero), (constant, np.arange(X.shape[0]))):
+            model = self._forest(X.shape[1], feature_fraction=1.0)
+            counts = np.bincount(y[rows], minlength=3)
+            split = model._best_split(
+                RandomForest._bin_entries(X), y, 3, rows, X.shape[1],
+                np.random.default_rng(0), counts,
+            )
+            assert split is None
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("frac", FRACTIONS)
+    def test_whole_forest_equals_dense_reference(self, monkeypatch, bootstrap, frac):
+        X, y = split_fixture(23, full_column=bootstrap)
+        fm = FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count")
+        leaf = 1 + self.FRACTIONS.index(frac)
+        hp = {"n_trees": 10, "max_depth": 8, "feature_fraction": frac,
+              "min_samples_leaf": leaf, "bootstrap": bootstrap}
+        sparse_forest = model_to_dict(train("random_forest", hp, fm, seed=6))
+        codes, thresholds = dense_binning(X)
+
+        def dense_best_split(self, bins, y_local, k, rows, m, rng, counts):
+            candidates = np.sort(rng.choice(self.n_features_, size=m, replace=False))
+            split = dense_split(codes, thresholds, y_local, k, rows, candidates, leaf)
+            return None if split is None else (split[0], split[2], codes[split[0], rows] <= split[1])
+
+        monkeypatch.setattr(RandomForest, "_best_split", dense_best_split)
+        assert model_to_dict(train("random_forest", hp, fm, seed=6)) == sparse_forest
+        assert sum(len(t["feature"]) for t in sparse_forest["params"]["trees"]) > 10 * 3
+
+    def test_fitted_forest_holds_only_what_reloading_restores(self):
+        model = train("random_forest", fast_hp("random_forest"), separable_matrix(seed=14), seed=2)
+        assert vars(model).keys() == vars(model_from_dict(model_to_dict(model))).keys()
 
 
 class TestSerialization:
