@@ -4,137 +4,9 @@ Pipeline: phrase dictionary with document-frequency IDF weights, sparse
 vectorization, optional SMOTE oversampling, a budget-limited random search
 over a from-scratch classifier portfolio with greedy ensemble selection, and
 a stratified multi-round evaluation harness.
+
+Each name is imported from the module that defines it; the package root
+exports only ``__version__``.
 """
 
-from .automl import (
-    CandidateConfig,
-    EnsembleSelection,
-    Leaderboard,
-    TrainedEnsemble,
-    ensemble_select,
-    evaluate_candidate,
-    export_leaderboard,
-    fit_final,
-    fold_assignments,
-    load_ensemble,
-    save_ensemble,
-    search,
-)
-from .corpus import (
-    LABELS,
-    DatasetError,
-    LabeledDataset,
-    LabeledDocument,
-    SplitPlan,
-    class_distribution,
-    export_split_plan,
-    load_dataset,
-    parse_label,
-    stratified_shuffle_splits,
-)
-from .evaluation import (
-    ClassMetrics,
-    EvalReport,
-    RunConfig,
-    confusion_matrix,
-    per_class_prf,
-    render_report,
-    run_experiment,
-    top_ngrams_per_class,
-    weighted_f1,
-    weighted_f1_labels,
-    weighted_f1_values,
-)
-from .features import SCHEMES, FeatureMatrix, smote_oversample, vectorize
-from .learners import (
-    DEFAULT_HP,
-    HP_SPACE,
-    KINDS,
-    TrainedModel,
-    default_hp,
-    load_model,
-    sample_hp,
-    save_model,
-    softmax_xent_loss_grad,
-    train,
-    validate_hp,
-)
-from .ngrams import (
-    NGramDictionary,
-    NGramEntry,
-    build_dictionary,
-    enumerate_ngrams,
-    export_dictionary,
-    import_dictionary,
-    ngram_idf_weight,
-)
-from .preprocess import StopList, clean_text, load_stoplist, preprocess, remove_stopwords, tokenize
-from .synthetic import PLANTED_PHRASES, planted_signal_dataset
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CandidateConfig",
-    "ClassMetrics",
-    "DEFAULT_HP",
-    "DatasetError",
-    "EnsembleSelection",
-    "EvalReport",
-    "FeatureMatrix",
-    "HP_SPACE",
-    "KINDS",
-    "LABELS",
-    "LabeledDataset",
-    "LabeledDocument",
-    "Leaderboard",
-    "NGramDictionary",
-    "NGramEntry",
-    "PLANTED_PHRASES",
-    "RunConfig",
-    "SCHEMES",
-    "SplitPlan",
-    "StopList",
-    "TrainedEnsemble",
-    "TrainedModel",
-    "build_dictionary",
-    "class_distribution",
-    "clean_text",
-    "confusion_matrix",
-    "default_hp",
-    "ensemble_select",
-    "enumerate_ngrams",
-    "evaluate_candidate",
-    "export_dictionary",
-    "export_leaderboard",
-    "export_split_plan",
-    "fit_final",
-    "fold_assignments",
-    "import_dictionary",
-    "load_dataset",
-    "load_ensemble",
-    "load_model",
-    "load_stoplist",
-    "ngram_idf_weight",
-    "parse_label",
-    "per_class_prf",
-    "planted_signal_dataset",
-    "preprocess",
-    "remove_stopwords",
-    "render_report",
-    "run_experiment",
-    "sample_hp",
-    "save_ensemble",
-    "save_model",
-    "search",
-    "smote_oversample",
-    "softmax_xent_loss_grad",
-    "stratified_shuffle_splits",
-    "tokenize",
-    "top_ngrams_per_class",
-    "train",
-    "validate_hp",
-    "vectorize",
-    "weighted_f1",
-    "weighted_f1_labels",
-    "weighted_f1_values",
-]

@@ -266,10 +266,6 @@ class TrainedEnsemble:
     def predict(self, rows) -> np.ndarray:
         return np.argmax(self.predict_scores(rows), axis=1)
 
-    def observed_classes(self) -> np.ndarray:
-        observed = sorted(set().union(*(set(m.model.classes_.tolist()) for m in self.members)))
-        return np.asarray(observed, dtype=np.int64)
-
 
 def fit_final(selection: EnsembleSelection, fm: FeatureMatrix) -> TrainedEnsemble:
     """Retrain each selected config on the full training matrix."""

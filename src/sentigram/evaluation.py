@@ -1,6 +1,6 @@
 """Experiment harness: the fitted pipeline shared by every round and by
 ``train``, the multi-round driver, and per-class discriminative n-gram
-reports. Metrics live in ``metrics`` and are re-exported here.
+reports. Metrics live in ``metrics``.
 
 Round averaging is the arithmetic mean of per-round values over the rounds
 where the value is defined; pooled-over-rounds metrics are also reported but
@@ -25,16 +25,9 @@ from .corpus import (
     stratified_shuffle_splits,
 )
 from .features import FeatureMatrix, smote_oversample, vectorize
-from .metrics import (  # re-exported for existing importers
-    ClassMetrics,
-    confusion_matrix,
-    per_class_prf,
-    weighted_f1,
-    weighted_f1_labels,
-    weighted_f1_values,
-)
+from .metrics import ClassMetrics, confusion_matrix, per_class_prf, weighted_f1
 from .ngrams import NGramDictionary, build_dictionary
-from .preprocess import StopList, load_stoplist, preprocess
+from .preprocess import load_stoplist, preprocess
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +101,7 @@ class FittedPipeline:
 
     dictionary: NGramDictionary
     scheme: str
-    stoplist: StopList | None
+    stoplist: frozenset[str] | None
     training: FeatureMatrix  # after SMOTE when it is on; the ensemble was fit on it
     n_train: int  # training rows before SMOTE
     leaderboard: automl.Leaderboard
@@ -124,7 +117,7 @@ class FittedPipeline:
 def fit_pipeline(
     docs: Sequence[LabeledDocument],
     cfg: RunConfig,
-    stoplist: StopList | None,
+    stoplist: frozenset[str] | None,
     seeds: np.random.SeedSequence,
 ) -> FittedPipeline:
     """Preprocess, build the phrase dictionary, vectorize, optionally

@@ -8,24 +8,10 @@ downstream stages consume the resulting lowercase alphanumeric token streams.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 _NON_ALNUM = re.compile(r"[^A-Za-z0-9]")
-
-BUILTIN_STOPLIST_TAG = "builtin-en-1"
-
-
-@dataclass(frozen=True)
-class StopList:
-    """A fixed set of lowercase tokens to drop, tagged with its source version."""
-
-    words: frozenset[str]
-    source_tag: str
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.words
 
 
 def clean_text(raw: str) -> str:
@@ -38,32 +24,30 @@ def tokenize(clean: str) -> list[str]:
     return clean.lower().split()
 
 
-def remove_stopwords(tokens: list[str], stoplist: StopList) -> list[str]:
+def remove_stopwords(tokens: list[str], stoplist: frozenset[str]) -> list[str]:
     """Drop tokens present in the stop list, keeping order of the survivors."""
-    return [t for t in tokens if t not in stoplist.words]
+    return [t for t in tokens if t not in stoplist]
 
 
-def load_stoplist(path: str | Path | None = None) -> StopList:
+def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
     """Load a stop-word list: one word per line, UTF-8, ``#`` comments allowed.
 
-    Without a path this returns the packaged English list (``builtin-en-1``).
+    Without a path this returns the packaged English list.
     Entries are lowercased; blank lines and comment-only lines are skipped.
     """
     if path is None:
         text = resources.files("sentigram.data").joinpath("stopwords_en.txt").read_text("utf-8")
-        tag = BUILTIN_STOPLIST_TAG
     else:
         text = Path(path).read_text("utf-8")
-        tag = f"file:{path}"
     words = set()
     for line in text.splitlines():
         word = line.split("#", 1)[0].strip().lower()
         if word:
             words.add(word)
-    return StopList(words=frozenset(words), source_tag=tag)
+    return frozenset(words)
 
 
-def preprocess(raw: str, stoplist: StopList | None = None) -> list[str]:
+def preprocess(raw: str, stoplist: frozenset[str] | None = None) -> list[str]:
     """Full pipeline: clean, tokenize, and (if a stop list is given) filter."""
     tokens = tokenize(clean_text(raw))
     if stoplist is not None:

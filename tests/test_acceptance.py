@@ -39,16 +39,10 @@ from sentigram.corpus import (
     load_dataset,
     stratified_shuffle_splits,
 )
-from sentigram.evaluation import (
-    RunConfig,
-    per_class_prf,
-    run_experiment,
-    weighted_f1,
-    weighted_f1_labels,
-    weighted_f1_values,
-)
+from sentigram.evaluation import RunConfig, run_experiment
 from sentigram.features import FeatureMatrix, smote_oversample
 from sentigram.learners import softmax_xent_loss_grad, train
+from sentigram.metrics import per_class_prf, weighted_f1, weighted_f1_labels, weighted_f1_values
 from sentigram.ngrams import build_dictionary, export_dictionary, import_dictionary
 
 # ---------------------------------------------------------------------------

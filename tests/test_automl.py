@@ -19,9 +19,9 @@ from sentigram.automl import (
     save_ensemble,
     search,
 )
-from sentigram.evaluation import weighted_f1_labels
 from sentigram.features import FeatureMatrix
 from sentigram.learners import DEFAULT_HP, KINDS
+from sentigram.metrics import weighted_f1_labels
 
 FP = "fingerprint-of-test-dictionary"
 
@@ -331,7 +331,6 @@ class TestFitFinalAndSerialization:
         scores = ensemble.predict_scores(fm)
         assert scores.shape == (fm.n_documents, 3)
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_array_equal(ensemble.observed_classes(), [0, 1, 2])
 
     def test_refit_rejects_mismatched_matrix(self):
         fm, sel, _ = self._pipeline()

@@ -16,20 +16,22 @@ from sentigram.corpus import (
     stratified_shuffle_splits,
 )
 from sentigram.evaluation import (
-    ClassMetrics,
     EvalReport,
     RunConfig,
-    confusion_matrix,
     fuse_rankings,
-    per_class_prf,
     run_experiment,
     top_ngrams_per_class,
+)
+from sentigram.features import FeatureMatrix, vectorize
+from sentigram.learners import train
+from sentigram.metrics import (
+    ClassMetrics,
+    confusion_matrix,
+    per_class_prf,
     weighted_f1,
     weighted_f1_labels,
     weighted_f1_values,
 )
-from sentigram.features import FeatureMatrix, vectorize
-from sentigram.learners import train
 from sentigram.ngrams import build_dictionary
 from sentigram.preprocess import preprocess
 

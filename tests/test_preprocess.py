@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from sentigram.preprocess import (
-    BUILTIN_STOPLIST_TAG,
-    StopList,
     clean_text,
     load_stoplist,
     preprocess,
@@ -73,55 +71,53 @@ class TestTokenize:
 
 class TestRemoveStopwords:
     def test_drops_listed_tokens(self):
-        sl = StopList(words=frozenset({"this", "is"}), source_tag="test")
+        sl = frozenset({"this", "is"})
         assert remove_stopwords(["this", "is", "awesome"], sl) == ["awesome"]
 
     def test_empty_input(self):
-        sl = StopList(words=frozenset({"a"}), source_tag="test")
+        sl = frozenset({"a"})
         assert remove_stopwords([], sl) == []
 
     def test_identity_when_no_match(self):
-        sl = StopList(words=frozenset({"the"}), source_tag="test")
+        sl = frozenset({"the"})
         assert remove_stopwords(["bug"], sl) == ["bug"]
 
     def test_output_is_subsequence_of_input(self):
         rng = np.random.default_rng(10)
         vocab = [f"w{i}" for i in range(12)]
-        sl = StopList(words=frozenset(vocab[:4]), source_tag="test")
+        sl = frozenset(vocab[:4])
         for _ in range(100):
             tokens = [vocab[i] for i in rng.integers(0, len(vocab), size=rng.integers(0, 20))]
             survivors = remove_stopwords(tokens, sl)
             it = iter(tokens)
             assert all(s in it for s in survivors)  # order-preserving subsequence
-            assert not set(survivors) & sl.words
+            assert not set(survivors) & sl
 
 
 class TestLoadStoplist:
     def test_builtin_list(self):
         sl = load_stoplist()
-        assert sl.source_tag == BUILTIN_STOPLIST_TAG
-        assert len(sl.words) > 50
-        assert {"the", "is", "a", "of"} <= sl.words
-        assert all(w == w.lower() and w for w in sl.words)
+        assert len(sl) > 50
+        assert {"the", "is", "a", "of"} <= sl
+        assert all(w == w.lower() and w for w in sl)
 
     def test_contraction_stems_present(self):
         # character cleaning splits "doesn't" into [doesn, t]; the bare stem
         # must be removable like any other function word
         sl = load_stoplist()
-        assert "t" in sl.words
-        assert "s" in sl.words
+        assert "t" in sl
+        assert "s" in sl
 
     def test_custom_file_with_comments(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# a comment\nFoo\n\nbar # trailing\n", encoding="utf-8")
         sl = load_stoplist(path)
-        assert sl.words == frozenset({"foo", "bar"})
-        assert sl.source_tag == f"file:{path}"
+        assert sl == frozenset({"foo", "bar"})
 
 
 class TestPreprocessPipeline:
     def test_full_pipeline(self):
-        sl = StopList(words=frozenset({"t", "does"}), source_tag="test")
+        sl = frozenset({"t", "does"})
         assert preprocess("Doesn't WORK!", sl) == ["doesn", "work"]
 
     def test_without_stoplist_keeps_everything(self):

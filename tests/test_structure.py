@@ -1,11 +1,15 @@
-"""Package structure: imports sit at module level, the search (automl) does
-not depend on the experiment driver (evaluation), and the driver reads
-learners only through their public contract."""
+"""Package structure: imports sit at module level, each submodule is reachable
+as an attribute of the package, the search (automl) does not depend on the
+experiment driver (evaluation), and the driver reads learners only through
+their public contract."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import sentigram
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sentigram"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -21,6 +25,13 @@ def test_every_import_is_at_module_level(path):
     top_level = {id(n) for n in tree.body}
     nested = [n.lineno for n in _imports(tree) if id(n) not in top_level]
     assert nested == [], f"{path.name}: imports below module level at lines {nested}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.name)
+def test_package_attribute_is_the_submodule(path):
+    # a name the package root binds must not shadow the submodule it came from
+    module = importlib.import_module(f"sentigram.{path.stem}")
+    assert getattr(sentigram, path.stem) is module
 
 
 def test_automl_does_not_import_evaluation():
