@@ -23,6 +23,7 @@ loading verifies the fingerprint when the caller supplies one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -394,6 +395,15 @@ class SoftmaxRegression(_MiniBatchLinear):
         self.b_ -= lr * delta.sum(axis=0)
 
 
+@functools.cache
+def _sign_table(k):
+    """Row c holds the one-vs-rest targets of class c: +1 at column c, -1
+    elsewhere. Built once per class count and read-only, since it is shared."""
+    table = 2.0 * np.eye(k) - 1.0
+    table.flags.writeable = False
+    return table
+
+
 class LinearSVMOvR(_MiniBatchLinear):
     """One-vs-rest linear SVM trained by hinge subgradient descent.
 
@@ -402,21 +412,16 @@ class LinearSVMOvR(_MiniBatchLinear):
     so ensembles can average them with the probabilistic kinds.
     """
 
-    def _signs(self, y_local, k):
-        Y = -np.ones((len(y_local), k))
-        Y[np.arange(len(y_local)), y_local] = 1.0
-        return Y
-
     def _objective(self, X, y_local):
         margins = X @ self.W_.T + self.b_
-        Y = self._signs(y_local, len(self.classes_))
+        Y = _sign_table(len(self.classes_))[y_local]
         hinge = np.maximum(0.0, 1.0 - Y * margins).mean(axis=0).sum()
         return float(hinge + 0.5 * self.hp["l2"] * np.sum(self.W_ * self.W_))
 
     def _step(self, batch, yb, lr):
         nb = len(yb)
         margins = batch.times(self.W_) + self.b_
-        Y = self._signs(yb, len(self.classes_))
+        Y = _sign_table(len(self.classes_))[yb]
         active = (1.0 - Y * margins > 0).astype(float) * Y  # (nb, k)
         gW = -batch.t_times(active) / nb + self.hp["l2"] * self.W_
         gb = -active.sum(axis=0) / nb
@@ -429,14 +434,17 @@ class LinearSVMOvR(_MiniBatchLinear):
 
 
 class _Tree:
-    """CART tree stored as parallel node arrays; splits found on binned codes.
+    """One CART tree as parallel node arrays, the form a model is saved in.
 
-    Nodes are appended to lists while the tree grows; ``freeze`` then turns
-    the lists into arrays (also after loading) and maps each split node to
-    its column in the dense submatrix of the ``used`` features.
+    Node 0 is the root and nodes are numbered in preorder. A split node has
+    its ``feature``, ``threshold`` and tree-local ``left``/``right`` children;
+    a leaf has ``feature`` -1 and its label in ``leaf_class`` (-1 at split
+    nodes). Nodes are appended to lists while the tree grows; ``freeze``
+    turns the lists into arrays, also after loading. Prediction does not walk
+    these arrays: the forest packs all its trees into one ``_NodeTable``.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_class", "used", "column")
+    __slots__ = ("feature", "threshold", "left", "right", "leaf_class")
 
     def __init__(self):
         self.feature, self.threshold = [], []
@@ -459,21 +467,79 @@ class _Tree:
         self.left = np.asarray(self.left, dtype=np.int64)
         self.right = np.asarray(self.right, dtype=np.int64)
         self.leaf_class = np.asarray(self.leaf_class, dtype=np.int64)
-        self.used = sorted(set(self.feature[self.feature >= 0].tolist()))
-        self.column = np.searchsorted(self.used, self.feature)  # read only at split nodes
 
-    def predict_local(self, dense_sub):
-        """Route rows given a dense submatrix of this tree's ``used`` columns, in order."""
-        node = np.zeros(dense_sub.shape[0], dtype=np.int64)
-        leaf = self.leaf_class
-        active = leaf[node] < 0
-        while np.any(active):
-            rows = np.nonzero(active)[0]
-            at = node[rows]
-            vals = dense_sub[rows, self.column[at]]
-            node[rows] = np.where(vals <= self.threshold[at], self.left[at], self.right[at])
-            active = leaf[node] < 0
-        return leaf[node]
+
+class _NodeTable(NamedTuple):
+    """A whole forest's nodes in one table, routed in lock step.
+
+    Node ``t`` is the root of tree ``t``; after the roots, the two children
+    of each split node sit side by side, the left one first, so a split
+    node's left child is ``right - 1``. Per node: ``column``, the split
+    feature's position in ``used`` (the sorted union of the forest's split
+    features); ``threshold``; ``right``; and ``leaf``, the leaf's class as a
+    position in ``classes_`` (-1 at split nodes). A leaf is its own right
+    child and has a NaN threshold, so ``value <= threshold`` is false there
+    and a row that reached a leaf stays on it. ``depth`` is the deepest
+    leaf's depth: that many routing passes take every row to its leaf.
+    """
+
+    used: np.ndarray
+    column: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+    depth: int
+
+    @classmethod
+    def pack(cls, trees, classes):
+        def joined(name):
+            return np.concatenate([getattr(t, name) for t in trees])
+
+        sizes = [len(t.feature) for t in trees]
+        n_trees, n_nodes = len(trees), sum(sizes)
+        start = np.cumsum(sizes) - sizes
+        feature = joined("feature")
+        split = np.nonzero(feature >= 0)[0]
+        leaves = np.nonzero(feature < 0)[0]
+        # each node's packed id: the roots, then the children of each split node as a pair
+        packed = np.empty(n_nodes, dtype=np.int64)
+        packed[start] = np.arange(n_trees)
+        pair = n_trees + 2 * np.arange(len(split))
+        offset = np.repeat(start, sizes)[split]
+        packed[joined("left")[split] + offset] = pair
+        packed[joined("right")[split] + offset] = pair + 1
+        at = packed[split]
+        used = np.unique(feature[split])
+        column = np.zeros(n_nodes, dtype=np.int64)
+        column[at] = np.searchsorted(used, feature[split])
+        threshold = np.full(n_nodes, np.nan)
+        threshold[at] = joined("threshold")[split]
+        right = np.arange(n_nodes)
+        right[at] = pair + 1
+        leaf = np.full(n_nodes, -1)
+        leaf[packed[leaves]] = np.searchsorted(classes, joined("leaf_class")[leaves])
+        depth, level = 0, np.arange(n_trees)
+        while (level := level[leaf[level] < 0]).size:  # the split nodes at this depth
+            depth += 1
+            level = np.concatenate((right[level] - 1, right[level]))
+        return cls(used, column, threshold, right, leaf, depth)
+
+    def gather(self, X):
+        """The dense (n, len(used)) block of X's ``used`` columns."""
+        return X.tocsr()[:, self.used].toarray()
+
+    def leaves(self, dense, trees):
+        """Each row's leaf in each of ``trees`` (tree indices, which are also
+        their roots' ids), as an (n, len(trees)) array of positions in
+        ``classes_``; ``dense`` is a ``gather`` block."""
+        n, width = dense.shape
+        node = np.broadcast_to(np.asarray(trees), (n, len(trees)))
+        flat = dense.ravel()
+        row_start = np.arange(n)[:, None] * width
+        for _ in range(self.depth):
+            goes_left = flat[row_start + self.column[node]] <= self.threshold[node]
+            node = self.right[node] - goes_left
+        return self.leaf[node]
 
 
 class _Bins(NamedTuple):
@@ -501,8 +567,14 @@ class RandomForest(TrainedModel):
     of the feature's stored entries, so a node's histogram costs time in
     proportion to its nonzeros, not to its rows times the sampled features.
     Stored thresholds are the real midpoints, so prediction routes raw
-    feature values and does not depend on the binning. Vote fractions over
-    trees are the scores.
+    feature values and does not depend on the binning.
+
+    ``trees_`` is what a model saves; after fitting or loading, the trees are
+    also packed into one ``_NodeTable`` (the flattened traversal of Asadi,
+    Lin and de Vries, TKDE 2014). Prediction gathers the dense block of the
+    forest's split features once, moves an (n, n_trees) array of node ids
+    one level down per pass for all trees at once, and counts the leaves'
+    votes with one ``bincount``. Vote fractions over trees are the scores.
     """
 
     def _fit(self, X, y):
@@ -521,6 +593,7 @@ class RandomForest(TrainedModel):
             self._grow(tree, bins, y_local, k, np.sort(rows), 0, m, rng)
             tree.freeze()
             self.trees_.append(tree)
+        self._table = _NodeTable.pack(self.trees_, self.classes_)
 
     def _features_per_node(self):
         frac = self.hp["feature_fraction"]
@@ -663,29 +736,22 @@ class RandomForest(TrainedModel):
         return feat, float(bins.thresholds[bins.offsets[feat] + code]), go_left
 
     def predict_scores(self, rows):
-        votes = self._vote_counts(self._coerce(rows).tocsc())
-        return votes / len(self.trees_)
+        table = self._table
+        leaves = table.leaves(table.gather(self._coerce(rows)), np.arange(len(self.trees_)))
+        return self._votes(leaves) / len(self.trees_)
 
-    def _route(self, Xc):
-        """Per tree: the dense copy of its used columns of the CSC matrix
-        ``Xc`` and each row's leaf, as a position in ``classes_``."""
-        for tree in self.trees_:
-            sub = Xc[:, tree.used].toarray()
-            yield sub, np.searchsorted(self.classes_, tree.predict_local(sub))
-
-    def _vote_counts(self, Xc):
-        n = Xc.shape[0]
-        votes = np.zeros((n, len(self.classes_)))
-        for _, leaf_pos in self._route(Xc):
-            votes[np.arange(n), leaf_pos] += 1.0
-        return votes
+    def _votes(self, leaves):
+        """Integer vote counts per row and class from an (n, trees) leaf array."""
+        n, k = leaves.shape[0], len(self.classes_)
+        bins = np.arange(n)[:, None] * k + leaves
+        return np.bincount(bins.ravel(), minlength=n * k).reshape(n, k)
 
     def permutation_importance(self, X, y, seed: int = 0, max_rows: int = 256) -> np.ndarray:
         """Mean accuracy drop on (a subsample of) the given rows — normally
         the training data — when one feature column is shuffled; features
         never used in any split have exactly zero importance and are skipped.
-        Only the trees that split on the shuffled feature are re-routed; the
-        other trees' votes are reused.
+        The rows are routed once; a shuffle re-routes only the trees that
+        split on the shuffled feature, and the other trees' votes are reused.
         """
         X, y = self._coerce(X), np.asarray(y)
         rng = np.random.default_rng(seed)
@@ -693,37 +759,25 @@ class RandomForest(TrainedModel):
             keep = rng.choice(X.shape[0], size=max_rows, replace=False)
             keep.sort()
             X, y = X[keep], y[keep]
-        Xc = X.tocsc()
-        n, k = X.shape[0], len(self.classes_)
-        subs, preds = [], []
-        votes_base = np.zeros((n, k))
-        row_ix = np.arange(n)
-        for sub, leaf_pos in self._route(Xc):
-            subs.append(sub)
-            preds.append(leaf_pos)
-            votes_base[row_ix, leaf_pos] += 1.0
-        trees_with: dict[int, list[int]] = {}
+        table = self._table
+        n = X.shape[0]
+        trees_with = [[] for _ in table.used]
         for t, tree in enumerate(self.trees_):
-            for f in tree.used:
-                trees_with.setdefault(f, []).append(t)
-
+            for j in np.searchsorted(table.used, np.unique(tree.feature[tree.feature >= 0])):
+                trees_with[j].append(t)
+        dense = table.gather(X)
+        base_leaves = table.leaves(dense, np.arange(len(self.trees_)))
+        votes_base = self._votes(base_leaves)
         base = np.mean(self.classes_[np.argmax(votes_base, axis=1)] == y)
         importance = np.zeros(self.n_features_)
-        for feat in sorted(trees_with):
-            col = Xc[:, [feat]].toarray().ravel()
-            shuffled = col[rng.permutation(n)]
-            votes = votes_base.copy()
-            for t in trees_with[feat]:
-                tree = self.trees_[t]
-                local = tree.used.index(feat)
-                saved = subs[t][:, local].copy()
-                subs[t][:, local] = shuffled
-                new_pred = np.searchsorted(self.classes_, tree.predict_local(subs[t]))
-                subs[t][:, local] = saved
-                votes[row_ix, preds[t]] -= 1.0
-                votes[row_ix, new_pred] += 1.0
+        for j, trees in enumerate(trees_with):  # ascending feature order, as the draws assume
+            col = dense[:, j].copy()
+            dense[:, j] = col[rng.permutation(n)]
+            leaves = table.leaves(dense, trees)
+            dense[:, j] = col
+            votes = votes_base - self._votes(base_leaves[:, trees]) + self._votes(leaves)
             acc = np.mean(self.classes_[np.argmax(votes, axis=1)] == y)
-            importance[feat] = base - acc
+            importance[table.used[j]] = base - acc
         return importance
 
     def class_margins(self, training):
@@ -764,6 +818,7 @@ class RandomForest(TrainedModel):
             tree.left, tree.right, tree.leaf_class = spec["left"], spec["right"], spec["leaf_class"]
             tree.freeze()
             model.trees_.append(tree)
+        model._table = _NodeTable.pack(model.trees_, model.classes_)
         return model
 
 

@@ -643,6 +643,112 @@ class TestSparseSplitSearch:
         assert vars(model).keys() == vars(model_from_dict(model_to_dict(model))).keys()
 
 
+def reference_votes(model, dense):
+    """Vote counts from walking each tree's own node arrays, one tree at a
+    time, on the full dense matrix: the reference for the packed table."""
+    n = dense.shape[0]
+    votes = np.zeros((n, len(model.classes_)))
+    for tree in model.trees_:
+        node = np.zeros(n, dtype=np.int64)
+        active = tree.leaf_class[node] < 0
+        while np.any(active):
+            rows = np.nonzero(active)[0]
+            at = node[rows]
+            vals = dense[rows, tree.feature[at]]
+            node[rows] = np.where(vals <= tree.threshold[at], tree.left[at], tree.right[at])
+            active = tree.leaf_class[node] < 0
+        votes[np.arange(n), np.searchsorted(model.classes_, tree.leaf_class[node])] += 1.0
+    return votes
+
+
+def reference_importance(model, X, y, seed=0, max_rows=256):
+    """Permutation importance that re-predicts every row with every tree
+    after each shuffle, drawing the same subsample and permutations."""
+    rng = np.random.default_rng(seed)
+    if X.shape[0] > max_rows:
+        keep = np.sort(rng.choice(X.shape[0], size=max_rows, replace=False))
+        X, y = X[keep], y[keep]
+    dense = X.toarray()
+    n = dense.shape[0]
+
+    def accuracy(matrix):
+        return np.mean(model.classes_[np.argmax(reference_votes(model, matrix), axis=1)] == y)
+
+    base = accuracy(dense)
+    importance = np.zeros(model.n_features_)
+    for feat in sorted({int(f) for t in model.trees_ for f in t.feature if f >= 0}):
+        shuffled = dense.copy()
+        shuffled[:, feat] = dense[rng.permutation(n), feat]
+        importance[feat] = base - accuracy(shuffled)
+    return importance
+
+
+class TestPackedForest:
+    """The packed node table routes every row to the leaves the per-tree walk reaches."""
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("frac", TestSparseSplitSearch.FRACTIONS)
+    def test_scores_and_importance_equal_the_per_tree_walk(self, tmp_path, frac, bootstrap):
+        X, y = split_fixture(30, full_column=not bootstrap)
+        fm = FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count")
+        unseen, _ = split_fixture(31)  # all-zero rows 7 and 8, values between the thresholds
+        rows = sp.vstack([X, unseen, sp.csr_matrix((2, X.shape[1]))]).toarray()
+        for leaf in (1, 2, 3, 4):
+            hp = {"n_trees": 10, "max_depth": 20 if leaf % 2 else 6, "feature_fraction": frac,
+                  "min_samples_leaf": leaf, "bootstrap": bootstrap}
+            model = train("random_forest", hp, fm, seed=leaf)
+            # and per split node, a row holding exactly that node's threshold
+            at_threshold = []
+            for tree in model.trees_:
+                for f, thr in zip(tree.feature, tree.threshold):
+                    if f >= 0:
+                        at_threshold.append(rows[len(at_threshold) % len(rows)].copy())
+                        at_threshold[-1][f] = thr
+            probe = sp.csr_matrix(np.vstack([rows, *at_threshold]))
+            y_probe = np.arange(probe.shape[0]) % 3
+            path = tmp_path / f"forest-{leaf}.json"
+            save_model(model, path)
+            for forest in (model, load_model(path)):
+                votes = reference_votes(forest, probe.toarray())
+                np.testing.assert_array_equal(forest.predict_scores(probe), votes / 10)
+                np.testing.assert_array_equal(
+                    forest.predict(probe), forest.classes_[np.argmax(votes, axis=1)]
+                )
+                for max_rows in (256, 50):
+                    np.testing.assert_array_equal(
+                        forest.permutation_importance(probe, y_probe, seed=leaf, max_rows=max_rows),
+                        reference_importance(forest, probe, y_probe, seed=leaf, max_rows=max_rows),
+                    )
+        assert forest._table.depth > 3
+
+    def test_forest_on_all_zero_rows_is_root_leaves(self):
+        fm = FeatureMatrix(
+            X=sp.csr_matrix((12, 5)), y=np.arange(12) % 3, fingerprint=FP, scheme="count"
+        )
+        model = train("random_forest", fast_hp("random_forest"), fm, seed=0)
+        assert model._table.used.size == 0 and model._table.depth == 0
+        assert all(len(t.feature) == 1 for t in model.trees_)
+        probe = sp.csr_matrix(np.eye(3, 5))
+        np.testing.assert_array_equal(
+            model.predict_scores(probe), reference_votes(model, probe.toarray()) / 10
+        )
+        np.testing.assert_array_equal(model.permutation_importance(fm.X, fm.y), np.zeros(5))
+        margins = model.class_margins(fm)
+        assert margins.shape == (3, 5) and np.all(margins == -np.inf)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_predicts_zero_rows_and_an_all_zero_row(kind):
+    fm = separable_matrix(seed=15)
+    model = train(kind, fast_hp(kind), fm, seed=0)
+    empty = model.predict_scores(sp.csr_matrix((0, fm.n_features)))
+    assert empty.shape == (0, len(model.classes_))
+    assert model.predict(sp.csr_matrix((0, fm.n_features))).shape == (0,)
+    zero = model.predict_scores(sp.csr_matrix((1, fm.n_features)))
+    assert zero.shape == (1, len(model.classes_))
+    assert zero.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestSerialization:
     @pytest.mark.parametrize("kind", KINDS)
     def test_roundtrip_preserves_scores(self, kind, tmp_path):
