@@ -84,26 +84,25 @@ def vectorize(
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     token_docs = list(token_docs)
     indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    order = dictionary.feature_order
-    entries = dictionary.entries
+    cols: list[int] = []
+    counts: list[int] = []
     for tokens in token_docs:
-        counts = _dictionary_counts(tokens, dictionary)
-        for col in sorted(counts):
-            value = float(counts[col])
-            if scheme == "binary_x_weight":
-                value = 1.0
-            if scheme != "count":
-                value *= entries[order[col]].weight
-            if value != 0.0:
-                indices.append(col)
-                data.append(value)
-        indptr.append(len(indices))
+        doc_counts = _dictionary_counts(tokens, dictionary)
+        doc_cols = sorted(doc_counts)
+        cols.extend(doc_cols)
+        counts.extend(map(doc_counts.__getitem__, doc_cols))
+        indptr.append(len(cols))
+    indices = np.asarray(cols, dtype=np.int64)
+    data = np.asarray(counts, dtype=np.float64)
+    if scheme == "binary_x_weight":
+        data[:] = 1.0
+    if scheme != "count":
+        data *= dictionary.weights()[indices]
     X = sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(token_docs), len(order)),
+        (data, indices, np.asarray(indptr, dtype=np.int64)),
+        shape=(len(token_docs), len(dictionary.feature_order)),
     )
+    X.eliminate_zeros()  # a phrase weight can be exactly 0.0
     return X
 
 
@@ -117,6 +116,11 @@ def smote_oversample(fm: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMat
     preserved verbatim; synthetic rows append after them in generation order.
     Classes absent from y are skipped; a class with a single member cannot be
     interpolated, so it keeps its one row and a RuntimeWarning names it.
+
+    The interpolation runs on sparse rows: every stored value is the same
+    IEEE expression a + lam*(b - a) a dense row would compute, and positions
+    that are 0 in both parents stay 0, so no dense (rows, features) block is
+    ever built.
     """
     if fm.y is None:
         raise ValueError("smote_oversample requires labels")
@@ -142,18 +146,16 @@ def smote_oversample(fm: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMat
             )
             continue
         rows = np.nonzero(y == class_id)[0]
-        dense = fm.X[rows].toarray()
+        members = fm.X[rows]
         k_eff = min(k, len(rows) - 1)
-        neighbours = _knn_indices(dense, k_eff)
+        neighbours = _knn_indices(members, k_eff)
         base = rng.integers(0, len(rows), size=need)
         pick = rng.integers(0, k_eff, size=need)
         lam = rng.random(need)
-        synthetic = np.empty((need, dense.shape[1]))
-        for j in range(need):
-            x_i = dense[base[j]]
-            x_nn = dense[neighbours[base[j], pick[j]]]
-            synthetic[j] = x_i + lam[j] * (x_nn - x_i)
-        blocks.append(sp.csr_matrix(synthetic))
+        x_i = members[base]
+        step = members[neighbours[base, pick]] - x_i
+        step.data *= np.repeat(lam, np.diff(step.indptr))
+        blocks.append(x_i + step)
         new_labels.append(np.full(need, class_id, dtype=np.int64))
 
     X = sp.vstack(blocks, format="csr")
@@ -163,10 +165,15 @@ def smote_oversample(fm: FeatureMatrix, k: int = 5, seed: int = 0) -> FeatureMat
     )
 
 
-def _knn_indices(dense: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise k nearest neighbour indices, self excluded, ties to lower index."""
-    sq = np.sum(dense * dense, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (dense @ dense.T)
+def _knn_indices(members: sp.csr_matrix, k: int) -> np.ndarray:
+    """Row-wise k nearest neighbour indices of sparse rows, self excluded,
+    ties to lower index.
+
+    Squared distances come from the sparse Gram matrix members @ members.T,
+    so only a (rows, rows) block is dense.
+    """
+    sq = np.asarray(members.multiply(members).sum(axis=1)).ravel()
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (members @ members.T).toarray()
     np.fill_diagonal(d2, np.inf)
     # stable argsort => equal distances order by row index
     order = np.argsort(d2, axis=1, kind="stable")

@@ -232,7 +232,9 @@ class MultinomialNB(TrainedModel):
             if F:  # a zero-feature matrix leaves the (k, 0) likelihood table empty
                 log_prob[i] = np.log(counts + alpha) - math.log(counts.sum() + alpha * F)
         self.class_log_prior_ = np.log(prior)
-        self.feature_log_prob_ = log_prob
+        # Fortran order makes .T C-contiguous, which scipy's sparse @ dense
+        # product reads in place; a strided operand is copied on every call
+        self.feature_log_prob_ = np.asfortranarray(log_prob)
 
     def _log_posterior(self, rows):
         Xc = self._coerce(rows).maximum(0)
@@ -254,7 +256,7 @@ class MultinomialNB(TrainedModel):
     def _from_params(cls, head, params):
         model = cls(*head)
         model.class_log_prior_ = np.asarray(params["class_log_prior"])
-        model.feature_log_prob_ = np.asarray(params["feature_log_prob"])
+        model.feature_log_prob_ = np.asfortranarray(params["feature_log_prob"])
         return model
 
 
@@ -363,6 +365,8 @@ class _MiniBatchLinear(TrainedModel):
             prev = self.loss_history_[-2]
             if abs(prev - loss) < _REL_TOL * max(1.0, abs(prev)):
                 break
+        # after training, so its arithmetic is untouched: see MultinomialNB._fit
+        self.W_ = np.asfortranarray(self.W_)
 
     def predict_scores(self, rows):
         rows = self._coerce(rows)
@@ -377,7 +381,7 @@ class _MiniBatchLinear(TrainedModel):
     @classmethod
     def _from_params(cls, head, params):
         model = cls(*head)
-        model.W_ = np.asarray(params["W"])
+        model.W_ = np.asfortranarray(params["W"])
         model.b_ = np.asarray(params["b"])
         return model
 

@@ -1,4 +1,4 @@
-"""N-gram dictionary construction: enumeration, document frequencies, IDF weights.
+"""N-gram dictionary construction: level-wise counting, document frequencies, IDF weights.
 
 A dictionary is built from a training corpus only. For each surviving phrase g
 over a corpus of N documents it records
@@ -24,28 +24,13 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 MAX_NGRAM_LEN = 10
 
 Phrase = tuple[str, ...]
 
 DICTIONARY_COLUMNS = ("phrase", "n", "freq", "df_phrase", "df_terms", "weight")
-
-
-def enumerate_ngrams(tokens, max_n: int = MAX_NGRAM_LEN) -> Counter:
-    """Count every contiguous 1..max_n-gram of a token sequence.
-
-    Overlapping occurrences all count, e.g. [a, a, a] contains "a a" twice.
-    """
-    if not 1 <= max_n <= MAX_NGRAM_LEN:
-        raise ValueError(f"max_n must be in 1..{MAX_NGRAM_LEN}, got {max_n}")
-    tokens = tuple(tokens)
-    counts: Counter = Counter()
-    size = len(tokens)
-    for start in range(size):
-        longest = min(max_n, size - start)
-        for n in range(1, longest + 1):
-            counts[tokens[start : start + n]] += 1
-    return counts
 
 
 def ngram_idf_weight(df_phrase: int, df_terms: int, corpus_size: int) -> float:
@@ -92,6 +77,7 @@ class NGramDictionary:
         self.feature_index: dict[Phrase, int] = {p: i for i, p in enumerate(self.feature_order)}
         self.fingerprint: str = self._compute_fingerprint()
         self._prefixes: frozenset[Phrase] | None = None
+        self._weights: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -106,6 +92,16 @@ class NGramDictionary:
             self._prefixes = frozenset(prefixes)
         return self._prefixes
 
+    def weights(self) -> np.ndarray:
+        """Phrase weights as float64, in ``feature_order`` (cached; used to scale features)."""
+        if self._weights is None:
+            weights = np.array(
+                [self.entries[p].weight for p in self.feature_order], dtype=np.float64
+            )
+            weights.flags.writeable = False  # shared by every caller
+            self._weights = weights
+        return self._weights
+
     def _compute_fingerprint(self) -> str:
         lines = "".join(_entry_line(self.entries[p]) + "\n" for p in self.feature_order)
         return hashlib.sha256(lines.encode()).hexdigest()
@@ -116,36 +112,56 @@ def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGr
 
     ``docs`` is a sequence of token sequences (training documents only; feeding
     test documents here leaks evaluation data into the feature space).
+
+    Counting is level-wise (Apriori: Agrawal & Srikant, VLDB 1994). Every
+    occurrence of an n-gram g contains one of g[:-1] and one of g[1:], so g
+    can reach ``min_freq`` only if both did: level n counts only the
+    occurrences whose two (n-1)-grams both survived, and a level that keeps
+    nothing ends the count. Each survivor still gets its full count.
     """
     docs = [tuple(doc) for doc in docs]
     if not docs:
         raise ValueError("build_dictionary requires at least one document")
+    if not 1 <= max_n <= MAX_NGRAM_LEN:
+        raise ValueError(f"max_n must be in 1..{MAX_NGRAM_LEN}, got {max_n}")
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
 
     corpus_size = len(docs)
-    freq: Counter = Counter()
-    df_phrase: Counter = Counter()
     postings: dict[str, set[int]] = {}
     for doc_id, tokens in enumerate(docs):
-        counts = enumerate_ngrams(tokens, max_n)
-        freq.update(counts)
-        for phrase in counts:
-            df_phrase[phrase] += 1
         for token in set(tokens):
             postings.setdefault(token, set()).add(doc_id)
 
+    survivors: list[tuple[Phrase, int, int]] = []  # (phrase, freq, df_phrase)
+    # starts[d]: ascending positions in document d where a surviving
+    # (n-1)-gram begins; at level 1 every position is a candidate
+    starts = [range(len(tokens)) for tokens in docs]
+    for n in range(1, max_n + 1):
+        freq: Counter = Counter()
+        df_phrase: Counter = Counter()
+        level = []
+        for tokens, alive in zip(docs, starts):
+            if n > 1:
+                alive = [s for s, nxt in zip(alive, alive[1:]) if nxt == s + 1]
+            grams = [tokens[s : s + n] for s in alive]
+            freq.update(grams)
+            df_phrase.update(set(grams))  # per-document seen set
+            level.append((alive, grams))
+        kept = {g: total for g, total in freq.items() if total >= min_freq}
+        if not kept:
+            break
+        survivors.extend((g, total, df_phrase[g]) for g, total in kept.items())
+        starts = [[s for s, g in zip(alive, grams) if g in kept] for alive, grams in level]
+
     entries: dict[Phrase, NGramEntry] = {}
     df_terms_cache: dict[frozenset, int] = {}
-    for phrase, total in freq.items():
-        if total < min_freq:
-            continue
+    for phrase, total, dfp in survivors:
         terms = frozenset(phrase)
         df_terms = df_terms_cache.get(terms)
         if df_terms is None:
             df_terms = _count_docs_containing_terms(terms, postings)
             df_terms_cache[terms] = df_terms
-        dfp = df_phrase[phrase]
         entries[phrase] = NGramEntry(
             phrase=phrase,
             freq=total,

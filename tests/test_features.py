@@ -1,5 +1,8 @@
 """Vectorization against a fixed dictionary and SMOTE oversampling behavior."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +10,7 @@ import scipy.sparse as sp
 from sentigram.features import (
     SCHEMES,
     FeatureMatrix,
+    _dictionary_counts,
     _knn_indices,
     smote_oversample,
     vectorize,
@@ -39,6 +43,75 @@ def random_matrix(rng, counts, n_features=6):
     return FeatureMatrix(
         X=X, y=np.asarray(labels, dtype=np.int64), fingerprint="fp", scheme="count"
     )
+
+
+def csr_fixture(rng, counts, n_features=12, density=0.3):
+    """Labeled sparse FeatureMatrix whose rows exercise the sparse SMOTE path:
+    negative values, all-zero rows, and the smallest subnormal in one column,
+    where interpolating toward a row without it cancels to an exact 0 for
+    every lam above one half."""
+    blocks, labels = [], []
+    for class_id, count in counts.items():
+        dense = rng.normal(0.0, 2.0, size=(count, n_features))
+        dense[rng.random(dense.shape) > density] = 0.0
+        dense[rng.random(count) < 0.2] = 0.0  # all-zero member rows
+        dense[rng.random(count) < 0.5, 0] = 5e-324
+        blocks.append(dense)
+        labels += [class_id] * count
+    return FeatureMatrix(
+        X=sp.csr_matrix(np.vstack(blocks)),
+        y=np.asarray(labels, dtype=np.int64),
+        fingerprint="fp",
+        scheme="count_x_weight",
+    )
+
+
+def reference_vectorize(token_docs, dictionary, scheme):
+    """The per-entry Python loop vectorize replaced: scale, then drop exact zeros."""
+    indptr, indices, data = [0], [], []
+    for tokens in token_docs:
+        counts = _dictionary_counts(tokens, dictionary)
+        for col in sorted(counts):
+            value = 1.0 if scheme == "binary_x_weight" else float(counts[col])
+            if scheme != "count":
+                value *= dictionary.entries[dictionary.feature_order[col]].weight
+            if value != 0.0:
+                indices.append(col)
+                data.append(value)
+        indptr.append(len(indices))
+    return np.asarray(data), np.asarray(indices), np.asarray(indptr)
+
+
+def reference_smote(fm, k, seed):
+    """The dense SMOTE smote_oversample replaced: dense class rows, dense
+    distances and one dense synthetic row at a time."""
+    rng = np.random.default_rng(seed)
+    y = fm.y
+    class_ids, counts = np.unique(y, return_counts=True)
+    blocks, labels = [fm.X], [y]
+    for class_id, count in zip(class_ids, counts):
+        need = int(counts.max()) - int(count)
+        if need == 0 or count == 1:
+            continue
+        dense = fm.X[np.nonzero(y == class_id)[0]].toarray()
+        k_eff = min(k, len(dense) - 1)
+        sq = np.sum(dense * dense, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (dense @ dense.T)
+        np.fill_diagonal(d2, np.inf)
+        neighbours = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+        base = rng.integers(0, len(dense), size=need)
+        pick = rng.integers(0, k_eff, size=need)
+        lam = rng.random(need)
+        synthetic = np.empty((need, dense.shape[1]))
+        for j in range(need):
+            x_i = dense[base[j]]
+            x_nn = dense[neighbours[base[j], pick[j]]]
+            synthetic[j] = x_i + lam[j] * (x_nn - x_i)
+        blocks.append(sp.csr_matrix(synthetic))
+        labels.append(np.full(need, class_id, dtype=np.int64))
+    X = sp.vstack(blocks, format="csr")
+    X.eliminate_zeros()
+    return X, np.concatenate(labels)
 
 
 class TestVectorize:
@@ -94,6 +167,24 @@ class TestVectorize:
                 for phrase, col in d.feature_index.items():
                     assert dense[row, col] == naive_phrase_count(tokens, phrase)
 
+    def test_equals_the_reference_loop_under_every_scheme(self):
+        rng = np.random.default_rng(42)
+        vocab = [f"t{i}" for i in range(6)]
+        for _ in range(8):
+            docs = [
+                ["every"] + [vocab[i] for i in rng.integers(0, 6, size=rng.integers(0, 18))]
+                for _ in range(15)
+            ]
+            d = build_dictionary(docs, max_n=4, min_freq=2)
+            assert d.entries[("every",)].weight == 0.0  # its entries must be dropped
+            for scheme in SCHEMES:
+                X = vectorize(docs, d, scheme)
+                data, indices, indptr = reference_vectorize(docs, d, scheme)
+                np.testing.assert_array_equal(X.data, data)
+                np.testing.assert_array_equal(X.indices, indices)
+                np.testing.assert_array_equal(X.indptr, indptr)
+                assert X.shape == (len(docs), len(d))
+
 
 class TestFeatureMatrix:
     def test_subset_slices_rows_and_labels(self):
@@ -110,16 +201,21 @@ class TestFeatureMatrix:
 
 class TestKnnIndices:
     def test_self_excluded_and_sorted_by_distance(self):
-        dense = np.asarray([[0.0], [1.0], [3.0]])
-        nn = _knn_indices(dense, k=2)
+        members = sp.csr_matrix([[0.0], [1.0], [3.0]])
+        nn = _knn_indices(members, k=2)
         np.testing.assert_array_equal(nn[0], [1, 2])
         np.testing.assert_array_equal(nn[1], [0, 2])
         np.testing.assert_array_equal(nn[2], [1, 0])
 
     def test_distance_ties_resolve_to_lower_index(self):
-        dense = np.asarray([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])  # 1 and 2 tie from 0
-        nn = _knn_indices(dense, k=2)
+        members = sp.csr_matrix([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])  # 1 and 2 tie from 0
+        nn = _knn_indices(members, k=2)
         np.testing.assert_array_equal(nn[0], [1, 2])
+        # 40 equal rows: long enough that an unstable sort would reorder the ties
+        members = sp.csr_matrix(np.vstack([np.zeros((1, 3)), np.tile([1.0, 2.0, 0.0], (40, 1))]))
+        nn = _knn_indices(members, k=40)
+        np.testing.assert_array_equal(nn[0], np.arange(1, 41))
+        np.testing.assert_array_equal(nn[5], [*range(1, 5), *range(6, 41), 0])
 
 
 class TestSmote:
@@ -225,6 +321,49 @@ class TestSmote:
         unlabeled = FeatureMatrix(X=fm.X, y=None, fingerprint="fp", scheme="count")
         with pytest.raises(ValueError, match="labels"):
             smote_oversample(unlabeled, k=2, seed=0)
+
+    def test_equals_the_dense_reference(self):
+        rng = np.random.default_rng(43)
+        cases = [
+            ({0: 20, 1: 7, 2: 4}, 5),
+            ({0: 9, 1: 3, 2: 2}, 5),  # k at least the class size
+            ({0: 6, 1: 1, 2: 4}, 3),  # a single-member class
+            ({0: 30, 1: 12}, 1),
+        ]
+        cancelled = 0
+        for trial in range(6):
+            for counts, k in cases:
+                fm = csr_fixture(rng, counts)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    out = smote_oversample(fm, k=k, seed=trial)
+                    X, y = reference_smote(fm, k, trial)
+                np.testing.assert_array_equal(out.X.data, X.data)
+                np.testing.assert_array_equal(out.X.indices, X.indices)
+                np.testing.assert_array_equal(out.X.indptr, X.indptr)
+                np.testing.assert_array_equal(out.y, y)
+                assert out.X.shape == X.shape
+                synthetic = out.X[fm.n_documents :]
+                cancelled += synthetic.shape[0] - synthetic[:, 0].nnz
+        assert cancelled  # some interpolants cancelled to an exact 0 and were dropped
+
+    def test_builds_no_dense_block(self):
+        # 400 rows x 50k columns, about 20 stored values a row: the dense
+        # (need, F) block of the 100 synthetic rows would be 40 MB
+        rng = np.random.default_rng(44)
+        n_rows, n_features = 400, 50_000
+        X = sp.random(n_rows, n_features, density=20 / n_features, format="csr", random_state=rng)
+        y = np.asarray([0] * 250 + [1] * 150, dtype=np.int64)
+        fm = FeatureMatrix(X=X, y=y, fingerprint="fp", scheme="count")
+        dense_block = 100 * n_features * 8
+        tracemalloc.start()
+        try:
+            out = smote_oversample(fm, k=5, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.n_documents == 500
+        assert peak < 0.05 * dense_block, peak
 
     def test_no_stored_zeros_in_output(self):
         rng = np.random.default_rng(41)

@@ -764,6 +764,19 @@ class TestSerialization:
             back.predict_scores(fm.X), model.predict_scores(fm.X), atol=1e-15
         )
 
+    @pytest.mark.parametrize("kind", ["multinomial_nb", "logistic_regression", "linear_svm"])
+    def test_weight_table_transpose_is_c_contiguous(self, kind, tmp_path):
+        # scipy's sparse @ dense product copies a strided dense operand on every call
+        fm = separable_matrix(seed=14)
+        model = train(kind, fast_hp(kind), fm, seed=3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        table = "feature_log_prob_" if kind == "multinomial_nb" else "W_"
+        for m in (model, back):
+            assert getattr(m, table).T.flags.c_contiguous
+        np.testing.assert_array_equal(back.predict_scores(fm.X), model.predict_scores(fm.X))
+
     def test_constant_model_roundtrip(self, tmp_path):
         fm = separable_matrix(classes=(2,), seed=12)
         model = train("linear_svm", {}, fm)

@@ -1,4 +1,4 @@
-"""N-gram enumeration, document-frequency statistics, IDF weighting, TSV round-trip."""
+"""N-gram counting, document-frequency statistics, IDF weighting, TSV round-trip."""
 
 import math
 from collections import Counter
@@ -11,7 +11,6 @@ from sentigram.ngrams import (
     NGramDictionary,
     NGramEntry,
     build_dictionary,
-    enumerate_ngrams,
     export_dictionary,
     import_dictionary,
     ngram_idf_weight,
@@ -54,40 +53,6 @@ def random_corpus(rng, n_docs=30, max_len=20, alphabet=6):
         [vocab[i] for i in rng.integers(0, alphabet, size=rng.integers(1, max_len + 1))]
         for _ in range(n_docs)
     ]
-
-
-class TestEnumerateNgrams:
-    def test_three_distinct_tokens(self):
-        got = enumerate_ngrams(["a", "b", "c"], max_n=2)
-        assert got == Counter(
-            {("a",): 1, ("b",): 1, ("c",): 1, ("a", "b"): 1, ("b", "c"): 1}
-        )
-
-    def test_overlapping_occurrences_all_count(self):
-        got = enumerate_ngrams(["a", "a", "a"], max_n=2)
-        assert got == Counter({("a",): 3, ("a", "a"): 2})
-
-    def test_empty_sequence(self):
-        assert enumerate_ngrams([], max_n=3) == Counter()
-
-    def test_matches_bruteforce_on_random_sequences(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            tokens = [f"w{i}" for i in rng.integers(0, 4, size=12)]
-            max_n = int(rng.integers(1, 6))
-            assert enumerate_ngrams(tokens, max_n) == oracle_enumerate(tokens, max_n)
-
-    def test_max_n_bounds(self):
-        with pytest.raises(ValueError):
-            enumerate_ngrams(["a"], max_n=0)
-        with pytest.raises(ValueError):
-            enumerate_ngrams(["a"], max_n=MAX_NGRAM_LEN + 1)
-
-    def test_total_count_formula(self):
-        # a length-L doc has L - n + 1 n-gram positions for each n <= L
-        tokens = [f"u{i}" for i in range(8)]  # all distinct
-        counts = enumerate_ngrams(tokens, max_n=3)
-        assert sum(counts.values()) == 8 + 7 + 6
 
 
 class TestNgramIdfWeight:
@@ -141,21 +106,60 @@ class TestBuildDictionary:
         assert set(d.entries) == {("a",)}
         assert d.entries[("a",)].weight == pytest.approx(math.log(2.0), abs=1e-12)
 
+    def _assert_matches_oracle(self, docs, max_n, min_freq, label=""):
+        d = build_dictionary(docs, max_n=max_n, min_freq=min_freq)
+        expected = oracle_stats(docs, max_n, min_freq)
+        assert set(d.entries) == set(expected), label
+        for phrase, (freq, dfp, dft) in expected.items():
+            e = d.entries[phrase]
+            assert (e.freq, e.df_phrase, e.df_terms) == (freq, dfp, dft), (label, phrase)
+            assert e.weight == pytest.approx(math.log(len(docs) * dfp / dft**2), abs=1e-12)
+
     def test_matches_bruteforce_oracle_on_random_corpora(self):
         rng = np.random.default_rng(22)
         for trial in range(10):
             docs = random_corpus(rng, n_docs=int(rng.integers(5, 31)))
             max_n = int(rng.integers(1, 5))
             min_freq = int(rng.integers(1, 4))
-            d = build_dictionary(docs, max_n=max_n, min_freq=min_freq)
-            expected = oracle_stats(docs, max_n, min_freq)
-            assert set(d.entries) == set(expected), f"trial {trial}"
-            for phrase, (freq, dfp, dft) in expected.items():
-                e = d.entries[phrase]
-                assert (e.freq, e.df_phrase, e.df_terms) == (freq, dfp, dft), phrase
-                assert e.weight == pytest.approx(
-                    math.log(len(docs) * dfp / dft**2), abs=1e-12
-                )
+            self._assert_matches_oracle(docs, max_n, min_freq, f"trial {trial}")
+
+    def test_levelwise_counting_matches_oracle_at_every_max_n_and_min_freq(self):
+        # level n counts only where both (n-1)-subgrams survived; runs such
+        # as [a, a, a, a] overlap themselves and documents shorter than max_n
+        # end a level early, so both are mixed into every corpus
+        rng = np.random.default_rng(27)
+        runs = [["a"] * 4, ["a"] * 7, ["b", "a", "b", "a", "b"], ["a"], []]
+        for trial in range(12):
+            docs = random_corpus(rng, n_docs=int(rng.integers(4, 16)), max_len=14, alphabet=3)
+            docs += [runs[i] for i in rng.permutation(len(runs))[: int(rng.integers(1, 6))]]
+            for max_n in range(1, MAX_NGRAM_LEN + 1):
+                for min_freq in range(1, 5):
+                    self._assert_matches_oracle(
+                        docs, max_n, min_freq, f"trial {trial} max_n {max_n} min_freq {min_freq}"
+                    )
+
+    def test_three_distinct_tokens(self):
+        d = build_dictionary([["a", "b", "c"]], max_n=2, min_freq=1)
+        assert {p: e.freq for p, e in d.entries.items()} == {
+            ("a",): 1, ("b",): 1, ("c",): 1, ("a", "b"): 1, ("b", "c"): 1
+        }
+
+    def test_overlapping_occurrences_all_count(self):
+        d = build_dictionary([["a", "a", "a"]], max_n=2, min_freq=1)
+        assert {p: e.freq for p, e in d.entries.items()} == {("a",): 3, ("a", "a"): 2}
+        assert d.entries[("a", "a")].df_phrase == 1
+
+    def test_position_count_formula(self):
+        # a length-L doc has L - n + 1 n-gram positions for each n <= L
+        tokens = [f"u{i}" for i in range(8)]  # all distinct
+        d = build_dictionary([tokens], max_n=3, min_freq=1)
+        assert sum(e.freq for e in d.entries.values()) == 8 + 7 + 6
+
+    def test_max_n_bounds(self):
+        with pytest.raises(ValueError, match="max_n"):
+            build_dictionary([["a"]], max_n=0)
+        with pytest.raises(ValueError, match="max_n"):
+            build_dictionary([["a"]], max_n=MAX_NGRAM_LEN + 1)
 
     def test_pruning_never_alters_survivors(self):
         rng = np.random.default_rng(23)
