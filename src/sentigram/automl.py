@@ -149,6 +149,11 @@ def search(
         raise ValueError("max_candidates must be >= 1")
     if budget_seconds is not None and budget_seconds <= 0:
         raise ValueError("budget_seconds must be positive")
+    if fm.y is not None and len(fm.y) and np.unique(fm.y, return_counts=True)[1].max() < 2:
+        raise ValueError(
+            "every class has a single training row: fold 0 of the cross-validation "
+            "would hold out every row and leave nothing to train on"
+        )
 
     rng = np.random.default_rng(seed)
     started = time.monotonic()

@@ -135,8 +135,8 @@ def _run_config(args, **protocol) -> RunConfig:
 
 
 def cmd_train(args) -> int:
-    ds = load_dataset(args.data)
     cfg = _run_config(args)
+    ds = load_dataset(args.data)
     fitted = fit_pipeline(
         ds.documents, cfg, _stoplist_from(args), np.random.SeedSequence(cfg.seed)
     )
@@ -159,8 +159,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ds = load_dataset(args.data)
     cfg = _run_config(args, **{f: getattr(args, f) for f in _PROTOCOL_FIELDS})
+    ds = load_dataset(args.data)
     report = run_experiment(ds, cfg)
     report.payload["dataset"]["path"] = args.data
     out = _out_dir(args)

@@ -54,6 +54,13 @@ class RunConfig:
     ensemble_size: int = 10
     top_ngrams: int = 10
 
+    def __post_init__(self) -> None:
+        # checked here so a bad value fails before any document is processed
+        if self.ensemble_size < 1:
+            raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
+        if self.top_ngrams < 0:
+            raise ValueError(f"top_ngrams must be >= 0, got {self.top_ngrams}")
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 

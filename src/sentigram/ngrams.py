@@ -1,4 +1,5 @@
-"""N-gram dictionary construction: level-wise counting, document frequencies, IDF weights.
+"""N-gram dictionary construction: level-wise counting on integer-coded tokens,
+document frequencies, IDF weights.
 
 A dictionary is built from a training corpus only. For each surviving phrase g
 over a corpus of N documents it records
@@ -14,13 +15,16 @@ get weights above their tokens' IDF; token sets that rarely form the phrase
 get low or negative weights, which is what demotes non-dominant overlaps.
 Phrases occurring fewer than ``min_freq`` times in the whole corpus are
 dropped before weighting (default 2: singletons carry no training signal).
+
+Counting maps each token to an integer id once and works on one flat id
+array: each level's n-grams are integer keys counted with numpy sorts, and
+``df_terms`` intersects per-token posting sets at C level.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,74 +117,91 @@ def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGr
     ``docs`` is a sequence of token sequences (training documents only; feeding
     test documents here leaks evaluation data into the feature space).
 
-    Counting is level-wise (Apriori: Agrawal & Srikant, VLDB 1994). Every
-    occurrence of an n-gram g contains one of g[:-1] and one of g[1:], so g
-    can reach ``min_freq`` only if both did: level n counts only the
-    occurrences whose two (n-1)-grams both survived, and a level that keeps
-    nothing ends the count. Each survivor still gets its full count.
+    Counting runs on integer-coded text: every token gets an id, and the
+    corpus becomes one flat id array. It is level-wise (Apriori: Agrawal &
+    Srikant, VLDB 1994). Every occurrence of an n-gram g contains one of
+    g[:-1] and one of g[1:], so g can reach ``min_freq`` only if both did:
+    level n counts only the positions whose two (n-1)-grams both survived,
+    and a level that keeps nothing ends the count. Each survivor still gets
+    its full count. An n-gram's key is (id of its (n-1)-gram prefix, id of
+    its last token), so one sort per level yields ``freq`` and one more over
+    (n-gram, document) pairs yields ``df_phrase``. ``df_terms`` intersects
+    the documents of each of a phrase's tokens, smallest set first.
+    ``entries`` runs level by level, each level in order of first occurrence.
     """
-    docs = [tuple(doc) for doc in docs]
-    if not docs:
-        raise ValueError("build_dictionary requires at least one document")
     if not 1 <= max_n <= MAX_NGRAM_LEN:
         raise ValueError(f"max_n must be in 1..{MAX_NGRAM_LEN}, got {max_n}")
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+    vocab: dict[str, int] = {}
+    ids: list[int] = []
+    lengths: list[int] = []
+    for doc in docs:
+        before = len(ids)
+        ids.extend(vocab.setdefault(token, len(vocab)) for token in doc)
+        lengths.append(len(ids) - before)
+    if not lengths:
+        raise ValueError("build_dictionary requires at least one document")
 
-    corpus_size = len(docs)
-    postings: dict[str, set[int]] = {}
-    for doc_id, tokens in enumerate(docs):
-        for token in set(tokens):
-            postings.setdefault(token, set()).add(doc_id)
-
-    survivors: list[tuple[Phrase, int, int]] = []  # (phrase, freq, df_phrase)
-    # starts[d]: ascending positions in document d where a surviving
-    # (n-1)-gram begins; at level 1 every position is a candidate
-    starts = [range(len(tokens)) for tokens in docs]
-    for n in range(1, max_n + 1):
-        freq: Counter = Counter()
-        df_phrase: Counter = Counter()
-        level = []
-        for tokens, alive in zip(docs, starts):
-            if n > 1:
-                alive = [s for s, nxt in zip(alive, alive[1:]) if nxt == s + 1]
-            grams = [tokens[s : s + n] for s in alive]
-            freq.update(grams)
-            df_phrase.update(set(grams))  # per-document seen set
-            level.append((alive, grams))
-        kept = {g: total for g, total in freq.items() if total >= min_freq}
-        if not kept:
-            break
-        survivors.extend((g, total, df_phrase[g]) for g, total in kept.items())
-        starts = [[s for s, g in zip(alive, grams) if g in kept] for alive, grams in level]
+    corpus_size, n_vocab = len(lengths), len(vocab)
+    words = list(vocab)
+    tok = np.array(ids, dtype=np.int64)
+    doc_of = np.repeat(np.arange(corpus_size, dtype=np.int64), lengths)
+    doc_end = np.repeat(np.cumsum(lengths, dtype=np.int64), lengths)
+    # token postings: the sorted distinct (token, document) pairs, split by token
+    pairs = np.unique(tok * corpus_size + doc_of)
+    cuts = np.searchsorted(pairs // corpus_size, np.arange(1, n_vocab))
+    postings = {w: set(p.tolist()) for w, p in zip(words, np.split(pairs % corpus_size, cuts))}
 
     entries: dict[Phrase, NGramEntry] = {}
-    df_terms_cache: dict[frozenset, int] = {}
-    for phrase, total, dfp in survivors:
-        terms = frozenset(phrase)
-        df_terms = df_terms_cache.get(terms)
-        if df_terms is None:
-            df_terms = _count_docs_containing_terms(terms, postings)
-            df_terms_cache[terms] = df_terms
-        entries[phrase] = NGramEntry(
-            phrase=phrase,
-            freq=total,
-            df_phrase=dfp,
-            df_terms=df_terms,
-            weight=ngram_idf_weight(dfp, df_terms, corpus_size),
+    # level n-1's surviving phrases by id, and the ascending positions where
+    # one begins with its id; level 1 extends the empty phrase at every position
+    prev: list[Phrase] = [()]
+    alive = np.arange(len(tok), dtype=np.int64)
+    alive_ids = np.zeros(len(tok), dtype=np.int64)
+    for n in range(1, max_n + 1):
+        if n == 1:
+            starts, prefix = alive, alive_ids
+        else:  # both (n-1)-grams survived and the n-gram ends inside its document
+            s = alive[:-1]
+            ok = (alive[1:] == s + 1) & (s + n - 1 < doc_end[s])
+            starts, prefix = s[ok], alive_ids[:-1][ok]
+        keys = prefix * n_vocab + tok[starts + n - 1]
+        grams, first, inverse, freq = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
         )
+        gram_docs = np.unique(inverse * corpus_size + doc_of[starts]) // corpus_size
+        df_phrase = np.bincount(gram_docs, minlength=len(grams))
+        kept = np.flatnonzero(freq >= min_freq)
+        if not len(kept):
+            break
+        kept = kept[np.argsort(first[kept])]  # in order of first occurrence
+        level = []
+        for key, total, dfp in zip(
+            grams[kept].tolist(), freq[kept].tolist(), df_phrase[kept].tolist()
+        ):
+            prefix_id, last = divmod(key, n_vocab)
+            phrase = prev[prefix_id] + (words[last],)
+            level.append(phrase)
+            # intersect smallest-first; every term occurs because the phrase did
+            sets = sorted((postings[t] for t in set(phrase)), key=len)
+            df_terms = len(set.intersection(*sets))
+            entries[phrase] = NGramEntry(
+                phrase=phrase,
+                freq=total,
+                df_phrase=dfp,
+                df_terms=df_terms,
+                weight=ngram_idf_weight(dfp, df_terms, corpus_size),
+            )
+        prev = level
+        new_id = np.full(len(grams), -1, dtype=np.int64)
+        new_id[kept] = np.arange(len(kept))
+        ids_here = new_id[inverse]
+        live = ids_here >= 0
+        alive, alive_ids = starts[live], ids_here[live]
     return NGramDictionary(
         corpus_size=corpus_size, entries=entries, max_n=max_n, min_freq=min_freq
     )
-
-
-def _count_docs_containing_terms(terms: frozenset, postings: dict[str, set[int]]) -> int:
-    # Intersect posting sets smallest-first; terms all exist because the phrase occurred.
-    sets = sorted((postings[t] for t in terms), key=len)
-    if len(sets) == 1:
-        return len(sets[0])
-    smallest, rest = sets[0], sets[1:]
-    return sum(1 for doc_id in smallest if all(doc_id in s for s in rest))
 
 
 def export_dictionary(dictionary: NGramDictionary, path: str | Path) -> None:

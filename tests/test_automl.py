@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sentigram import automl
 from sentigram.automl import (
     CandidateConfig,
     Leaderboard,
@@ -199,6 +200,16 @@ class TestSearch:
             search(fm, max_candidates=0)
         with pytest.raises(ValueError, match="budget_seconds"):
             search(fm, budget_seconds=0.0)
+
+    def test_one_row_per_class_fails_before_the_first_candidate(self, monkeypatch):
+        # stratified dealing puts each class's only row in fold 0, which
+        # leaves that fold's training part empty
+        calls = []
+        monkeypatch.setattr(automl, "evaluate_candidate", lambda *a, **k: calls.append(a))
+        fm = separable_matrix(n_per_class=1)
+        with pytest.raises(ValueError, match="single training row"):
+            search(fm, folds=5, seed=0, max_candidates=1)
+        assert calls == []
 
     def test_tiny_time_budget_still_runs_one_candidate_and_warns(self):
         fm = separable_matrix()

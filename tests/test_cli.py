@@ -11,6 +11,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
+from sentigram import cli
 from sentigram.automl import load_ensemble
 from sentigram.cli import main
 from sentigram.corpus import LABEL_TO_INDEX, LABELS, load_dataset
@@ -365,6 +366,42 @@ class TestErrorHandling:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--ensemble-size", "0"],
+            ["evaluate", "--top-ngrams", "-1"],
+            ["train", "--ensemble-size", "0"],
+        ],
+    )
+    def test_bad_run_config_exits_2_before_any_work(
+        self, argv, planted_csv, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(cli, "load_dataset", no_work)
+        code = main(
+            argv + ["--data", planted_csv, "--max-candidates", "2", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert argv[1].lstrip("-").replace("-", "_") in err
+
+    def test_one_training_row_per_class_exits_2_naming_the_cause(self, tmp_path, capsys):
+        # two documents per class: each round's split leaves one per class to train on
+        rows = _planted_rows(counts=(2, 2, 2))
+        data = _write_csv(tmp_path / "six.csv", rows)
+        code = main(
+            ["evaluate", "--data", str(data), "--max-candidates", "2", "--rounds", "1",
+             "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "single training row" in err
 
     def test_unknown_subcommand_raises_usage_exit(self):
         with pytest.raises(SystemExit) as excinfo:

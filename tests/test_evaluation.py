@@ -261,6 +261,13 @@ class TestRunConfigAndReport:
         assert cfg.max_candidates is None and cfg.budget_seconds is None
         assert cfg.ensemble_size == 10 and cfg.top_ngrams == 10
 
+    def test_rejects_bad_ensemble_size_and_top_ngrams(self):
+        with pytest.raises(ValueError, match="ensemble_size"):
+            RunConfig(ensemble_size=0)
+        with pytest.raises(ValueError, match="top_ngrams"):
+            RunConfig(top_ngrams=-1)
+        assert RunConfig(ensemble_size=1, top_ngrams=0).top_ngrams == 0
+
     def test_to_dict_is_a_detached_copy(self):
         cfg = RunConfig(rounds=3)
         d = cfg.to_dict()

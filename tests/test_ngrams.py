@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from sentigram.features import vectorize
 from sentigram.ngrams import (
     MAX_NGRAM_LEN,
     NGramDictionary,
@@ -196,6 +197,38 @@ class TestBuildDictionary:
             build_dictionary([])
         with pytest.raises(ValueError):
             build_dictionary([["a"]], min_freq=0)
+
+    def test_all_documents_empty(self):
+        d = build_dictionary([[], []])
+        assert d.entries == {} and d.corpus_size == 2
+        assert vectorize([[], []], d).shape == (2, 0)
+
+    def test_min_freq_above_every_count_keeps_nothing(self):
+        d = build_dictionary([["a", "b", "a"], ["a", "b"]], max_n=3, min_freq=4)
+        assert d.entries == {} and d.corpus_size == 2
+
+    def test_run_longer_than_max_n(self):
+        # a run of 12 copies of one token holds 12 - n + 1 overlapping n-grams,
+        # all in one document, whose one distinct term occurs in both
+        d = build_dictionary([["a"] * 12, ["b", "a"]], max_n=MAX_NGRAM_LEN, min_freq=2)
+        runs = {("a",) * n: (13 - n, 1, 2) for n in range(2, MAX_NGRAM_LEN + 1)}
+        assert {p: (e.freq, e.df_phrase, e.df_terms) for p, e in d.entries.items()} == {
+            ("a",): (13, 2, 2), **runs
+        }
+
+    def test_entries_run_level_by_level_in_order_of_first_occurrence(self):
+        # "y z" occurs before "z x" but once, so it is pruned and does not
+        # take a place; "x y w" occurs once and ends the count at level 3
+        docs = [["x", "y", "z", "x", "y"], ["z", "x", "y", "w"], ["y", "w", "z"]]
+        d = build_dictionary(docs, max_n=4, min_freq=2)
+        assert list(d.entries) == [
+            ("x",), ("y",), ("z",), ("w",),
+            ("x", "y"), ("z", "x"), ("y", "w"),
+            ("z", "x", "y"),
+        ]
+        assert [(e.freq, e.df_phrase, e.df_terms) for e in d.entries.values()] == [
+            (3, 2, 2), (4, 3, 3), (3, 3, 3), (2, 2, 2), (3, 2, 2), (2, 2, 2), (2, 2, 2), (2, 2, 2)
+        ]
 
 
 class TestDictionaryStructure:
