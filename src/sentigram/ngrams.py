@@ -154,18 +154,13 @@ def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGr
     postings = {w: set(p.tolist()) for w, p in zip(words, np.split(pairs % corpus_size, cuts))}
 
     entries: dict[Phrase, NGramEntry] = {}
-    # level n-1's surviving phrases by id, and the ascending positions where
-    # one begins with its id; level 1 extends the empty phrase at every position
+    # level n counts the ascending positions ``starts``; ``prefix`` holds the id
+    # of the (n-1)-gram there, an index into ``prev``, level n-1's survivors.
+    # Level 1 extends the empty phrase at every position.
     prev: list[Phrase] = [()]
-    alive = np.arange(len(tok), dtype=np.int64)
-    alive_ids = np.zeros(len(tok), dtype=np.int64)
+    starts = np.arange(len(tok), dtype=np.int64)
+    prefix = np.zeros(len(tok), dtype=np.int64)
     for n in range(1, max_n + 1):
-        if n == 1:
-            starts, prefix = alive, alive_ids
-        else:  # both (n-1)-grams survived and the n-gram ends inside its document
-            s = alive[:-1]
-            ok = (alive[1:] == s + 1) & (s + n - 1 < doc_end[s])
-            starts, prefix = s[ok], alive_ids[:-1][ok]
         keys = prefix * n_vocab + tok[starts + n - 1]
         grams, first, inverse, freq = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True
@@ -199,6 +194,10 @@ def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGr
         ids_here = new_id[inverse]
         live = ids_here >= 0
         alive, alive_ids = starts[live], ids_here[live]
+        # level n+1: both n-grams survived and the (n+1)-gram ends inside its document
+        s = alive[:-1]
+        ok = (alive[1:] == s + 1) & (s + n < doc_end[s])
+        starts, prefix = s[ok], alive_ids[:-1][ok]
     return NGramDictionary(
         corpus_size=corpus_size, entries=entries, max_n=max_n, min_freq=min_freq
     )
