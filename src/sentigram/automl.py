@@ -10,14 +10,26 @@ archived so ensembles can be evaluated without retraining.
 Budgets come in two forms: ``max_candidates`` caps the candidate count and is
 exactly reproducible; ``budget_seconds`` stops after a wall-clock allowance
 (the candidate sequence is still deterministic, only the cutoff point moves).
+
+Candidates are cross-validated in parallel on every usable CPU, in processes
+forked from the caller. A candidate's result depends only on its configuration
+and the shared training matrix, so the leaderboard does not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import multiprocessing
+import os
+import sys
 import time
 import warnings
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +138,90 @@ class Leaderboard:
         return self.entries[0]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _candidate_sequence(seed: int):
+    """The search's candidates in order: the per-kind defaults, then random draws."""
+    rng = np.random.default_rng(seed)
+    for index in itertools.count():
+        if index < len(KINDS):
+            kind = KINDS[index]
+            hp = default_hp(kind)
+        else:
+            kind = KINDS[int(rng.integers(len(KINDS)))]
+            hp = sample_hp(kind, rng)
+        yield CandidateConfig(kind=kind, hp=hp, seed=int(rng.integers(2**31 - 1)))
+
+
+def _evaluate_recording(fm, folds, fold_seed, config):
+    """``evaluate_candidate`` plus the warnings it raised, returned rather than shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        score, oof = evaluate_candidate(config, fm, folds=folds, fold_seed=fold_seed)
+    return score, oof, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _module_name(filename: str) -> str | None:
+    """The module name warnings.warn gives a warning raised in ``filename``, so
+    that module filters match a re-emitted warning as they match the original."""
+    for name, module in list(sys.modules.items()):
+        if getattr(module, "__file__", None) == filename:
+            return name
+    return None
+
+
+# A pool worker's bound task: set by _init_worker, in the worker process only.
+_worker_task = None
+
+
+def _init_worker(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_worker_task(config):
+    return _worker_task(config)
+
+
+def _run_now(task, config) -> Future:
+    future = Future()
+    future.set_result(task(config))
+    return future
+
+
+@contextmanager
+def _submitter(task, workers: int):
+    """Yield ``submit(config) -> Future``: a forked pool of ``workers`` processes,
+    or in-process evaluation when one worker would do, fork is unavailable, or
+    this process is a daemon (which may not start children).
+
+    The task (and the feature matrix bound into it) reaches the workers by
+    fork, so neither is pickled and no worker re-imports the package; only a
+    CandidateConfig and its result cross the pipe. The executor forks all its
+    workers before it starts its own thread. Leaving the block waits for the
+    pool's workers to exit.
+    """
+    if (
+        workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        yield partial(_run_now, task)
+        return
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(task,),
+    ) as pool:
+        yield partial(pool.submit, _run_worker_task)
+
+
 def search(
     fm: FeatureMatrix,
     folds: int = 5,
@@ -140,6 +236,13 @@ def search(
     is given). The first four candidates are the per-kind defaults; at least
     one candidate always runs, and finishing with fewer than the four
     defaults emits a warning.
+
+    Candidates run on every usable CPU, at most one per worker at a time,
+    and are submitted in sequence order with the budget checked before each
+    submission. Candidates still running at a wall-clock cutoff finish and
+    are kept, so the leaderboard is always a prefix of the sequence. Results
+    and warnings (re-emitted in sequence order) do not depend on the worker
+    count.
     """
     if max_candidates is not None and budget_seconds is not None:
         raise ValueError("set max_candidates or budget_seconds, not both")
@@ -155,29 +258,38 @@ def search(
             "would hold out every row and leave nothing to train on"
         )
 
-    rng = np.random.default_rng(seed)
     started = time.monotonic()
+
+    def within_budget(index: int) -> bool:
+        if max_candidates is not None:
+            return index < max_candidates
+        return index == 0 or time.monotonic() - started < budget_seconds
+
+    workers = min(_usable_cpus(), max_candidates or sys.maxsize)
+    task = partial(_evaluate_recording, fm, folds, seed)
+    configs = _candidate_sequence(seed)
+    submitted: list[tuple[CandidateConfig, Future]] = []
+    with _submitter(task, workers) as submit:
+        in_flight: set[Future] = set()
+        while within_budget(len(submitted)):
+            if len(in_flight) == workers:
+                done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()  # a failed candidate stops the search here
+            config = next(configs)
+            future = submit(config)
+            submitted.append((config, future))
+            in_flight.add(future)
+    # the registry warnings.warn would use here, so "default" shows a warning once
+    registry = globals().setdefault("__warningregistry__", {})
     entries: list[LeaderboardEntry] = []
-    index = 0
-    while True:
-        if max_candidates is not None and index >= max_candidates:
-            break
-        if (
-            budget_seconds is not None
-            and index > 0
-            and time.monotonic() - started >= budget_seconds
-        ):
-            break
-        if index < len(KINDS):
-            kind = KINDS[index]
-            hp = default_hp(kind)
-        else:
-            kind = KINDS[int(rng.integers(len(KINDS)))]
-            hp = sample_hp(kind, rng)
-        config = CandidateConfig(kind=kind, hp=hp, seed=int(rng.integers(2**31 - 1)))
-        score, oof = evaluate_candidate(config, fm, folds=folds, fold_seed=seed)
+    for index, (config, future) in enumerate(submitted):
+        score, oof, caught = future.result()
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(
+                message, category, filename, lineno, _module_name(filename), registry
+            )
         entries.append(LeaderboardEntry(config=config, score=score, oof=oof, index=index))
-        index += 1
     if len(entries) < len(KINDS):
         warnings.warn(
             f"budget allowed only {len(entries)} of the {len(KINDS)} default candidates; "

@@ -64,8 +64,9 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help=(
-            "wall-clock search budget; default "
-            f"{DEFAULT_BUDGET_SECONDS:g} when --max-candidates is not set"
+            "wall-clock search budget in seconds; candidates still running at the "
+            f"cutoff finish and are kept; default {DEFAULT_BUDGET_SECONDS:g} when "
+            "--max-candidates is not set"
         ),
     )
     g.add_argument("--ensemble-size", type=int, default=10, help="greedy selection steps")

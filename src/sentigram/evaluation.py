@@ -60,6 +60,16 @@ class RunConfig:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.top_ngrams < 0:
             raise ValueError(f"top_ngrams must be >= 0, got {self.top_ngrams}")
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.smote_k < 1:
+            raise ValueError(f"smote_k must be >= 1, got {self.smote_k}")
+        if self.max_candidates is not None and self.max_candidates < 1:
+            raise ValueError(f"max_candidates must be >= 1, got {self.max_candidates}")
+        if self.budget_seconds is not None and self.budget_seconds <= 0:
+            raise ValueError(f"budget_seconds must be positive, got {self.budget_seconds}")
+        if self.max_candidates is not None and self.budget_seconds is not None:
+            raise ValueError("set max_candidates or budget_seconds, not both")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

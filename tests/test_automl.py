@@ -1,6 +1,9 @@
 """Cross-validated candidate scoring, random search, and greedy ensemble selection."""
 
 import itertools
+import multiprocessing
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -237,6 +240,110 @@ class TestSearch:
             assert int(fields[0]) == rank
             assert fields[1] in KINDS
             assert fields[3] == f"{lb.entries[rank - 1].score:.6f}"
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+def _entry_keys(lb):
+    return [(e.config.to_dict(), e.score, e.index) for e in lb.entries]
+
+
+def _search_keys(fm, folds, seed, max_candidates):
+    return _entry_keys(search(fm, folds=folds, seed=seed, max_candidates=max_candidates))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Two usable CPUs; records each pool the search creates and checks that
+    no worker process outlives the test and no pool had more than two
+    candidates in flight."""
+    created = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.futures, self.most_in_flight = [], 0
+            created.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.futures.append(super().submit(*args, **kwargs))
+            in_flight = sum(not f.done() for f in self.futures)
+            self.most_in_flight = max(self.most_in_flight, in_flight)
+            return self.futures[-1]
+
+    monkeypatch.setattr(automl, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(automl, "ProcessPoolExecutor", RecordingPool)
+    yield created
+    assert multiprocessing.active_children() == []
+    assert all(pool.most_in_flight <= 2 for pool in created)
+    assert automl._worker_task is None  # set in the workers only
+
+
+@needs_fork
+class TestParallelSearch:
+    def test_one_and_two_workers_give_the_same_leaderboard(self, monkeypatch, pools):
+        fm = separable_matrix(noise=1.0, seed=6)
+        monkeypatch.setattr(automl, "_usable_cpus", lambda: 1)
+        serial = search(fm, folds=3, seed=2, max_candidates=6)
+        assert pools == []
+        monkeypatch.setattr(automl, "_usable_cpus", lambda: 2)
+        pooled = search(fm, folds=3, seed=2, max_candidates=6)
+        assert len(pools) == 1
+        assert _entry_keys(pooled) == _entry_keys(serial)
+        for a, b in zip(serial.entries, pooled.entries):
+            np.testing.assert_array_equal(a.oof, b.oof)
+
+    def test_one_candidate_runs_in_process(self, pools):
+        with pytest.warns(RuntimeWarning, match="partial"):
+            lb = search(separable_matrix(), folds=2, seed=0, max_candidates=1)
+        assert len(lb) == 1 and pools == []
+
+    def test_budgeted_search_keeps_a_prefix_of_the_sequence(self, pools):
+        fm = separable_matrix(seed=8)
+        lb = search(fm, folds=2, seed=1, budget_seconds=0.5)
+        assert len(pools) == 1
+        assert sorted(e.index for e in lb.entries) == list(range(len(lb)))
+        # the same candidates as the count-capped search of that length
+        assert _entry_keys(lb) == _entry_keys(search(fm, folds=2, seed=1, max_candidates=len(lb)))
+
+    def test_worker_warnings_reach_the_caller(self, pools):
+        single = separable_matrix(classes=(1,), seed=3)
+        with pytest.warns(RuntimeWarning, match="single class"):
+            lb = search(single, folds=2, seed=0, max_candidates=4)
+        assert len(lb) == 4 and len(pools) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="single class"):
+                search(single, folds=2, seed=0, max_candidates=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # shown once per location, as in-process
+            search(single, folds=2, seed=0, max_candidates=4)
+            warnings.filterwarnings("ignore", category=RuntimeWarning, module="sentigram.automl")
+            search(single, folds=2, seed=0, max_candidates=4)
+        assert [str(w.message) for w in caught if "single class" in str(w.message)] == [
+            "training data contains a single class; cross-validation is degenerate"
+        ]
+        assert len(pools) == 4
+
+    def test_search_in_a_daemon_process_runs_in_process(self, pools):
+        fm = separable_matrix(noise=1.0, seed=6)
+        expected = _entry_keys(search(fm, folds=3, seed=2, max_candidates=6))
+        # multiprocessing.Pool workers are daemons, which may not start a pool
+        with multiprocessing.get_context("fork").Pool(1) as daemon:
+            keys = daemon.apply(_search_keys, (fm, 3, 2, 6))
+        assert keys == expected
+
+    def test_worker_failure_propagates(self, monkeypatch, pools):
+        def broken_train(*args, **kwargs):
+            raise RuntimeError("training failed")
+
+        monkeypatch.setattr(automl, "train", broken_train)  # fork carries the patch
+        with pytest.raises(RuntimeError, match="training failed"):
+            search(separable_matrix(), folds=2, seed=0, max_candidates=4)
+        assert len(pools) == 1
 
 
 class TestEnsembleSelect:

@@ -373,6 +373,14 @@ class TestErrorHandling:
             ["evaluate", "--ensemble-size", "0"],
             ["evaluate", "--top-ngrams", "-1"],
             ["train", "--ensemble-size", "0"],
+            ["evaluate", "--folds", "1"],
+            ["evaluate", "--max-candidates", "0"],
+            ["evaluate", "--budget-seconds", "0"],
+            ["evaluate", "--max-candidates", "3", "--budget-seconds", "10"],
+            ["evaluate", "--smote-k", "0"],
+            ["train", "--folds", "1"],
+            ["train", "--budget-seconds", "0"],
+            ["train", "--smote-k", "0"],
         ],
     )
     def test_bad_run_config_exits_2_before_any_work(
@@ -382,8 +390,11 @@ class TestErrorHandling:
             raise AssertionError("the pipeline ran")
 
         monkeypatch.setattr(cli, "load_dataset", no_work)
+        # the flags under test come last, so they override the shared --max-candidates 2
         code = main(
-            argv + ["--data", planted_csv, "--max-candidates", "2", "--out-dir", str(tmp_path)]
+            argv[:1]
+            + ["--data", planted_csv, "--max-candidates", "2", "--out-dir", str(tmp_path)]
+            + argv[1:]
         )
         assert code == 2
         err = capsys.readouterr().err

@@ -268,6 +268,26 @@ class TestRunConfigAndReport:
             RunConfig(top_ngrams=-1)
         assert RunConfig(ensemble_size=1, top_ngrams=0).top_ngrams == 0
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"folds": 1}, "folds"),
+            ({"smote_k": 0}, "smote_k"),
+            ({"max_candidates": 0}, "max_candidates"),
+            ({"budget_seconds": 0.0}, "budget_seconds"),
+            ({"budget_seconds": -1.0}, "budget_seconds"),
+            ({"max_candidates": 3, "budget_seconds": 10.0}, "not both"),
+        ],
+    )
+    def test_rejects_bad_search_settings(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(**kwargs)
+
+    def test_accepts_the_smallest_search_settings(self):
+        cfg = RunConfig(folds=2, smote_k=1, max_candidates=1)
+        assert (cfg.folds, cfg.smote_k, cfg.max_candidates) == (2, 1, 1)
+        assert RunConfig(budget_seconds=1e-9).budget_seconds == 1e-9
+
     def test_to_dict_is_a_detached_copy(self):
         cfg = RunConfig(rounds=3)
         d = cfg.to_dict()
