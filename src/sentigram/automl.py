@@ -411,13 +411,6 @@ def ensemble_to_dict(ensemble: TrainedEnsemble) -> dict:
     }
 
 
-def save_ensemble(ensemble: TrainedEnsemble, path) -> None:
-    Path(path).write_text(
-        json.dumps(ensemble_to_dict(ensemble), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
 def load_ensemble(path) -> TrainedEnsemble:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != _ENSEMBLE_FORMAT:

@@ -24,9 +24,9 @@ from .corpus import (
     class_distribution,
     stratified_shuffle_splits,
 )
-from .features import FeatureMatrix, smote_oversample, vectorize
+from .features import SCHEMES, FeatureMatrix, smote_oversample, vectorize
 from .metrics import ClassMetrics, confusion_matrix, per_class_prf, weighted_f1
-from .ngrams import NGramDictionary, build_dictionary
+from .ngrams import MAX_NGRAM_LEN, NGramDictionary, build_dictionary
 from .preprocess import load_stoplist, preprocess
 
 
@@ -56,6 +56,16 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # checked here so a bad value fails before any document is processed
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if not 0 < self.test_fraction < 1:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if not 1 <= self.max_n <= MAX_NGRAM_LEN:
+            raise ValueError(f"max_n must be in 1..{MAX_NGRAM_LEN}, got {self.max_n}")
+        if self.min_freq < 1:
+            raise ValueError(f"min_freq must be >= 1, got {self.min_freq}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.ensemble_size < 1:
             raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
         if self.top_ngrams < 0:

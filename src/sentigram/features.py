@@ -7,8 +7,10 @@ Three feature schemes over the dictionary's phrase space:
     count            raw occurrence count
 
 Matrices are CSR sparse; rows are documents in input order, columns follow
-``dictionary.feature_order``. Out-of-dictionary phrases are ignored, so test
-documents vectorize into the training feature space without refitting.
+``dictionary.feature_order``. The dictionary finds its own phrases in each
+document (``NGramDictionary.phrase_counts``); vectorizing only scales the
+counts. Out-of-dictionary phrases are ignored, so test documents vectorize
+into the training feature space without refitting.
 """
 
 from __future__ import annotations
@@ -52,30 +54,6 @@ class FeatureMatrix:
         )
 
 
-def _dictionary_counts(tokens, dictionary: NGramDictionary) -> dict[int, int]:
-    """Count occurrences of dictionary phrases only, pruning via the prefix set.
-
-    A window extension stops as soon as the current slice is no prefix of any
-    dictionary phrase, which keeps matching near-linear on real text.
-    """
-    prefixes = dictionary.phrase_prefixes()
-    index = dictionary.feature_index
-    tokens = tuple(tokens)
-    size = len(tokens)
-    max_n = dictionary.max_n
-    counts: dict[int, int] = {}
-    for start in range(size):
-        longest = min(max_n, size - start)
-        for n in range(1, longest + 1):
-            phrase = tokens[start : start + n]
-            if phrase not in prefixes:
-                break
-            col = index.get(phrase)
-            if col is not None:
-                counts[col] = counts.get(col, 0) + 1
-    return counts
-
-
 def vectorize(
     token_docs, dictionary: NGramDictionary, scheme: str = "count_x_weight"
 ) -> sp.csr_matrix:
@@ -87,7 +65,7 @@ def vectorize(
     cols: list[int] = []
     counts: list[int] = []
     for tokens in token_docs:
-        doc_counts = _dictionary_counts(tokens, dictionary)
+        doc_counts = dictionary.phrase_counts(tokens)
         doc_cols = sorted(doc_counts)
         cols.extend(doc_cols)
         counts.extend(map(doc_counts.__getitem__, doc_cols))
@@ -97,7 +75,7 @@ def vectorize(
     if scheme == "binary_x_weight":
         data[:] = 1.0
     if scheme != "count":
-        data *= dictionary.weights()[indices]
+        data *= dictionary.weights[indices]
     X = sp.csr_matrix(
         (data, indices, np.asarray(indptr, dtype=np.int64)),
         shape=(len(token_docs), len(dictionary.feature_order)),

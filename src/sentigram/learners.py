@@ -16,17 +16,15 @@ Shared contracts:
     (len(classes_), n_features): larger is more indicative of the class,
     ``-inf`` is none; a constant model returns None.
 
-Models serialize to a self-describing JSON container carrying kind, hp, class
-set, parameters, and the dictionary fingerprint of the training matrix;
-loading verifies the fingerprint when the caller supplies one.
+Models serialize to a self-describing JSON-ready dict (``model_to_dict``)
+carrying kind, hp, class set, parameters, and the dictionary fingerprint of
+the training matrix; ``predict`` refuses a matrix with another fingerprint.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -875,20 +873,3 @@ def model_from_dict(payload: dict) -> TrainedModel:
     )
     cls = ConstantModel if payload["constant"] else _MODEL_CLASSES[payload["kind"]]
     return cls._from_params(head, payload["params"])
-
-
-def save_model(model: TrainedModel, path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_model(path, expected_fingerprint: str | None = None) -> TrainedModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = model_from_dict(payload)
-    if expected_fingerprint is not None and model.fingerprint != expected_fingerprint:
-        raise ValueError(
-            f"model at {path} was trained against a different dictionary "
-            f"(fingerprint {model.fingerprint[:12]}… != expected {expected_fingerprint[:12]}…)"
-        )
-    return model

@@ -19,6 +19,12 @@ dropped before weighting (default 2: singletons carry no training signal).
 Counting maps each token to an integer id once and works on one flat id
 array: each level's n-grams are integer keys counted with numpy sorts, and
 ``df_terms`` intersects per-token posting sets at C level.
+
+A dictionary is prefix-closed: every (n-1)-prefix of an entry is an entry.
+The build guarantees it (an n-gram is counted only where its prefix
+survived) and ``import_dictionary`` checks it. So the dictionary finds its
+own phrases in a document (``phrase_counts``) with its feature index alone,
+growing each window one token at a time until the first miss.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ class NGramDictionary:
     the entries' TSV lines in that order, so it hashes content only and an
     exported dictionary re-imports with the same fingerprint. Matrices and
     models carry it to verify they were produced against this dictionary.
+    ``entries`` must be prefix-closed, or ``phrase_counts`` misses phrases.
     """
 
     corpus_size: int | None  # None for dictionaries re-imported from TSV
@@ -80,31 +87,33 @@ class NGramDictionary:
         self.feature_order: tuple[Phrase, ...] = tuple(sorted(self.entries))
         self.feature_index: dict[Phrase, int] = {p: i for i, p in enumerate(self.feature_order)}
         self.fingerprint: str = self._compute_fingerprint()
-        self._prefixes: frozenset[Phrase] | None = None
-        self._weights: np.ndarray | None = None
+        # phrase weights in ``feature_order``, read-only: shared by every caller
+        self.weights: np.ndarray = np.array(
+            [self.entries[p].weight for p in self.feature_order], dtype=np.float64
+        )
+        self.weights.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def phrase_prefixes(self) -> frozenset[Phrase]:
-        """All non-empty prefixes of dictionary phrases (cached; used to prune matching)."""
-        if self._prefixes is None:
-            prefixes = set()
-            for phrase in self.entries:
-                for i in range(1, len(phrase) + 1):
-                    prefixes.add(phrase[:i])
-            self._prefixes = frozenset(prefixes)
-        return self._prefixes
+    def phrase_counts(self, tokens) -> dict[int, int]:
+        """Occurrences of dictionary phrases in ``tokens``, keyed by feature column.
 
-    def weights(self) -> np.ndarray:
-        """Phrase weights as float64, in ``feature_order`` (cached; used to scale features)."""
-        if self._weights is None:
-            weights = np.array(
-                [self.entries[p].weight for p in self.feature_order], dtype=np.float64
-            )
-            weights.flags.writeable = False  # shared by every caller
-            self._weights = weights
-        return self._weights
+        Each window grows one token at a time and stops at its first miss:
+        the dictionary is prefix-closed, so no longer window can be an entry.
+        Overlapping occurrences all count.
+        """
+        index = self.feature_index
+        tokens = tuple(tokens)
+        size = len(tokens)
+        counts: dict[int, int] = {}
+        for start in range(size):
+            for end in range(start + 1, size + 1):
+                col = index.get(tokens[start:end])
+                if col is None:
+                    break
+                counts[col] = counts.get(col, 0) + 1
+        return counts
 
     def _compute_fingerprint(self) -> str:
         lines = "".join(_entry_line(self.entries[p]) + "\n" for p in self.feature_order)
@@ -216,6 +225,8 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
     The result has the exported dictionary's exact weights and fingerprint.
     The TSV schema has no corpus-size column, so ``corpus_size`` is None;
     ``max_n`` and ``min_freq`` are the longest phrase and the lowest freq seen.
+    The file must be prefix-closed, as every exported dictionary is: a phrase
+    whose (n-1)-prefix has no line is rejected.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -242,6 +253,13 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
         entries[phrase] = NGramEntry(phrase, freq, dfp, dft, weight)
         max_len = max(max_len, n)
         min_freq_seen = freq if min_freq_seen is None else min(min_freq_seen, freq)
+    # phrase lookup relies on prefix closure; entries follow the file's lines
+    for lineno, phrase in enumerate(entries, start=2):
+        if len(phrase) > 1 and phrase[:-1] not in entries:
+            raise ValueError(
+                f"{path}: line {lineno}: phrase {' '.join(phrase)!r} has no line "
+                f"for its prefix {' '.join(phrase[:-1])!r}"
+            )
     return NGramDictionary(
         corpus_size=None,
         entries=entries,

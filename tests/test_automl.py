@@ -1,6 +1,7 @@
 """Cross-validated candidate scoring, random search, and greedy ensemble selection."""
 
 import itertools
+import json
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -15,12 +16,12 @@ from sentigram.automl import (
     Leaderboard,
     LeaderboardEntry,
     ensemble_select,
+    ensemble_to_dict,
     evaluate_candidate,
     export_leaderboard,
     fit_final,
     fold_assignments,
     load_ensemble,
-    save_ensemble,
     search,
 )
 from sentigram.features import FeatureMatrix
@@ -459,7 +460,7 @@ class TestFitFinalAndSerialization:
     def test_ensemble_roundtrip(self, tmp_path):
         fm, _, ensemble = self._pipeline()
         path = tmp_path / "ensemble.json"
-        save_ensemble(ensemble, path)
+        path.write_text(json.dumps(ensemble_to_dict(ensemble)), encoding="utf-8")
         back = load_ensemble(path)
         assert back.fingerprint == ensemble.fingerprint
         assert back.oof_trajectory == ensemble.oof_trajectory

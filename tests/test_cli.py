@@ -381,6 +381,14 @@ class TestErrorHandling:
             ["train", "--folds", "1"],
             ["train", "--budget-seconds", "0"],
             ["train", "--smote-k", "0"],
+            ["evaluate", "--max-n", "0"],
+            ["evaluate", "--max-n", "11"],
+            ["evaluate", "--min-freq", "0"],
+            ["evaluate", "--rounds", "0"],
+            ["evaluate", "--test-fraction", "0"],
+            ["evaluate", "--test-fraction", "1"],
+            ["train", "--max-n", "11"],
+            ["train", "--min-freq", "0"],
         ],
     )
     def test_bad_run_config_exits_2_before_any_work(

@@ -277,6 +277,14 @@ class TestRunConfigAndReport:
             ({"budget_seconds": 0.0}, "budget_seconds"),
             ({"budget_seconds": -1.0}, "budget_seconds"),
             ({"max_candidates": 3, "budget_seconds": 10.0}, "not both"),
+            # and the protocol and feature settings, checked before any work too
+            ({"max_n": 0}, "max_n"),
+            ({"max_n": 11}, "max_n"),
+            ({"min_freq": 0}, "min_freq"),
+            ({"rounds": 0}, "rounds"),
+            ({"test_fraction": 0.0}, "test_fraction"),
+            ({"test_fraction": 1.0}, "test_fraction"),
+            ({"scheme": "tfidf"}, "scheme"),
         ],
     )
     def test_rejects_bad_search_settings(self, kwargs, match):

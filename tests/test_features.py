@@ -10,7 +10,6 @@ import scipy.sparse as sp
 from sentigram.features import (
     SCHEMES,
     FeatureMatrix,
-    _dictionary_counts,
     _knn_indices,
     smote_oversample,
     vectorize,
@@ -67,14 +66,17 @@ def csr_fixture(rng, counts, n_features=12, density=0.3):
 
 
 def reference_vectorize(token_docs, dictionary, scheme):
-    """The per-entry Python loop vectorize replaced: scale, then drop exact zeros."""
+    """Naive per-phrase counts over every column, scaled entry by entry, exact
+    zeros dropped."""
     indptr, indices, data = [0], [], []
     for tokens in token_docs:
-        counts = _dictionary_counts(tokens, dictionary)
-        for col in sorted(counts):
-            value = 1.0 if scheme == "binary_x_weight" else float(counts[col])
+        for col, phrase in enumerate(dictionary.feature_order):
+            count = naive_phrase_count(tokens, phrase)
+            if not count:
+                continue
+            value = 1.0 if scheme == "binary_x_weight" else float(count)
             if scheme != "count":
-                value *= dictionary.entries[dictionary.feature_order[col]].weight
+                value *= dictionary.entries[phrase].weight
             if value != 0.0:
                 indices.append(col)
                 data.append(value)

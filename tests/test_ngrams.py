@@ -9,8 +9,6 @@ import pytest
 from sentigram.features import vectorize
 from sentigram.ngrams import (
     MAX_NGRAM_LEN,
-    NGramDictionary,
-    NGramEntry,
     build_dictionary,
     export_dictionary,
     import_dictionary,
@@ -115,6 +113,8 @@ class TestBuildDictionary:
             e = d.entries[phrase]
             assert (e.freq, e.df_phrase, e.df_terms) == (freq, dfp, dft), (label, phrase)
             assert e.weight == pytest.approx(math.log(len(docs) * dfp / dft**2), abs=1e-12)
+        # prefix closure, which phrase lookup relies on, holds by construction
+        assert all(p[:-1] in d.entries for p in d.entries if len(p) > 1), label
 
     def test_matches_bruteforce_oracle_on_random_corpora(self):
         rng = np.random.default_rng(22)
@@ -258,16 +258,6 @@ class TestDictionaryStructure:
         assert set(unpruned.entries) - set(pruned.entries) == {("c",), ("a", "c")}
         assert unpruned.fingerprint != pruned.fingerprint
 
-    def test_phrase_prefixes(self):
-        entries = {
-            ("a", "b", "c"): NGramEntry(("a", "b", "c"), 2, 1, 1, 0.0),
-            ("x",): NGramEntry(("x",), 2, 1, 1, 0.0),
-        }
-        d = NGramDictionary(corpus_size=2, entries=entries, max_n=3)
-        assert d.phrase_prefixes() == frozenset(
-            {("a",), ("a", "b"), ("a", "b", "c"), ("x",)}
-        )
-
 
 class TestExportImport:
     def _sample_dictionary(self, seed=26):
@@ -353,6 +343,19 @@ class TestExportImport:
         )
         with pytest.raises(ValueError, match="line 3: non-finite weight"):
             import_dictionary(path)
+
+    def test_import_rejects_phrase_without_its_prefix(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "phrase\tn\tfreq\tdf_phrase\tdf_terms\tweight\n"
+            "a b c\t3\t2\t2\t2\t0.5\na\t1\t2\t2\t2\t0.4\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as excinfo:
+            import_dictionary(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 2: phrase 'a b c' has no line for its prefix 'a b'"
+        )
 
     def test_import_rejects_duplicate_phrase(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -1,7 +1,7 @@
 """Package structure: imports sit at module level, each submodule is reachable
 as an attribute of the package, the search (automl) does not depend on the
-experiment driver (evaluation), and the driver reads learners only through
-their public contract."""
+experiment driver (evaluation), the driver reads learners only through
+their public contract, and phrase lookup lives in the dictionary (ngrams)."""
 
 import ast
 import importlib
@@ -48,15 +48,29 @@ def test_automl_does_not_import_evaluation():
     assert "sentigram.metrics" in imported
 
 
-def test_evaluation_does_not_name_learner_internals():
-    tree = ast.parse((PACKAGE / "evaluation.py").read_text(encoding="utf-8"))
+def _names(module):
+    """Every identifier, attribute, definition name and string constant in a module."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     named = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             named.add(node.attr)
         elif isinstance(node, ast.Name):
             named.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             named.add(node.value)  # getattr(model, "...") probes
+    return named
+
+
+def test_evaluation_does_not_name_learner_internals():
     internals = {"feature_log_prob_", "W_", "trees_", "permutation_importance"}
-    assert named & internals == set()
+    assert _names("evaluation.py") & internals == set()
+
+
+def test_phrase_lookup_lives_in_ngrams():
+    # features scales the counts NGramDictionary.phrase_counts finds; it does
+    # not walk the dictionary's index itself
+    lookup = {"feature_index", "max_n", "phrase_prefixes", "_dictionary_counts"}
+    assert _names("features.py") & lookup == set()
