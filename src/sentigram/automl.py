@@ -357,7 +357,6 @@ def ensemble_select(lb: Leaderboard, size: int = 10) -> EnsembleSelection:
 
 @dataclass
 class EnsembleMember:
-    config: CandidateConfig
     model: TrainedModel
     multiplicity: int
 
@@ -370,18 +369,17 @@ class TrainedEnsemble:
     fingerprint: str
     oof_trajectory: list[float] | None = None
 
-    def predict_scores(self, rows) -> np.ndarray:
-        n = rows.n_documents if isinstance(rows, FeatureMatrix) else rows.shape[0]
-        total = np.zeros((n, len(LABELS)))
+    def predict_scores(self, fm: FeatureMatrix) -> np.ndarray:
+        total = np.zeros((fm.n_documents, len(LABELS)))
         weight = 0
         for member in self.members:
-            scores = member.model.predict_scores(rows)
+            scores = member.model.predict_scores(fm)
             total[:, member.model.classes_] += member.multiplicity * scores
             weight += member.multiplicity
         return total / weight
 
-    def predict(self, rows) -> np.ndarray:
-        return np.argmax(self.predict_scores(rows), axis=1)
+    def predict(self, fm: FeatureMatrix) -> np.ndarray:
+        return np.argmax(self.predict_scores(fm), axis=1)
 
 
 def fit_final(selection: EnsembleSelection, fm: FeatureMatrix) -> TrainedEnsemble:
@@ -389,7 +387,7 @@ def fit_final(selection: EnsembleSelection, fm: FeatureMatrix) -> TrainedEnsembl
     if fm.fingerprint != selection.fingerprint:
         raise ValueError("refit matrix does not match the matrix the ensemble was selected on")
     members = [
-        EnsembleMember(config=c, model=train(c.kind, c.hp, fm, seed=c.seed), multiplicity=m)
+        EnsembleMember(model=train(c.kind, c.hp, fm, seed=c.seed), multiplicity=m)
         for c, m in selection.members
     ]
     return TrainedEnsemble(
@@ -415,16 +413,15 @@ def load_ensemble(path) -> TrainedEnsemble:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != _ENSEMBLE_FORMAT:
         raise ValueError(f"not an ensemble container (format={payload.get('format')!r})")
-    members = []
-    for spec in payload["members"]:
-        model = model_from_dict(spec["model"])
-        members.append(
-            EnsembleMember(
-                config=CandidateConfig(kind=model.kind, hp=model.hp, seed=model.seed),
-                model=model,
-                multiplicity=spec["multiplicity"],
-            )
-        )
+    for key in ("members", "fingerprint"):
+        if not payload.get(key):
+            raise ValueError(f"{path}: ensemble container has no {key}")
+    members = [
+        EnsembleMember(model=model_from_dict(spec["model"]), multiplicity=spec["multiplicity"])
+        for spec in payload["members"]
+    ]
+    if min(m.multiplicity for m in members) < 1:
+        raise ValueError(f"{path}: ensemble member multiplicity below 1")
     return TrainedEnsemble(
         members=members,
         fingerprint=payload["fingerprint"],

@@ -27,6 +27,8 @@ ENV_OUT_DIR = "SENTIGRAM_OUT"
 _REPORT_KEYS = ("config", "dataset", "rounds", "averaged", "pooled", "top_ngrams")
 # RunConfig fields set only by evaluate's protocol flags; train leaves them out
 _PROTOCOL_FIELDS = ("rounds", "test_fraction", "top_ngrams")
+# the flags' defaults, so a flag left out runs with RunConfig's own value
+_DEFAULTS = RunConfig()
 
 
 def _default_out_dir() -> str:
@@ -37,22 +39,26 @@ def _add_data_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV with a text,label header")
 
 
+def _add_config_arg(g, flag: str, text: str, **kwargs) -> None:
+    """A flag for the RunConfig field of the same name, defaulting to its value."""
+    default = getattr(_DEFAULTS, flag[2:].replace("-", "_"))
+    g.add_argument(
+        flag, type=type(default), default=default, help=f"{text} (default {default})", **kwargs
+    )
+
+
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("feature pipeline")
-    g.add_argument("--max-n", type=int, default=10, help="longest phrase length (default 10)")
-    g.add_argument(
-        "--min-freq", type=int, default=2, help="drop phrases occurring fewer times (default 2)"
-    )
-    g.add_argument(
-        "--scheme", default="count_x_weight", choices=SCHEMES, help="feature value scheme"
-    )
+    _add_config_arg(g, "--max-n", "longest phrase length")
+    _add_config_arg(g, "--min-freq", "drop phrases occurring fewer times")
+    _add_config_arg(g, "--scheme", "feature value scheme", choices=SCHEMES)
     g.add_argument("--no-stopwords", action="store_true", help="skip stop-word removal")
     g.add_argument("--stoplist", default=None, help="custom stop-word file (one word per line)")
 
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("model search")
-    g.add_argument("--folds", type=int, default=5, help="internal CV folds (default 5)")
+    _add_config_arg(g, "--folds", "internal CV folds")
     g.add_argument(
         "--max-candidates",
         type=int,
@@ -69,10 +75,10 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
             "--max-candidates is not set"
         ),
     )
-    g.add_argument("--ensemble-size", type=int, default=10, help="greedy selection steps")
+    _add_config_arg(g, "--ensemble-size", "greedy selection steps")
     g.add_argument("--no-smote", action="store_true", help="disable minority oversampling")
-    g.add_argument("--smote-k", type=int, default=5, help="SMOTE neighbour count (default 5)")
-    g.add_argument("--seed", type=int, default=0, help="master random seed")
+    _add_config_arg(g, "--smote-k", "SMOTE neighbour count")
+    _add_config_arg(g, "--seed", "master random seed")
 
 
 def _add_out_dir(p: argparse.ArgumentParser) -> None:
@@ -154,7 +160,7 @@ def cmd_train(args) -> int:
     )
     best = lb.best()
     print(f"evaluated {len(lb)} candidates; best {best.config.kind} cv={best.score:.3f}")
-    print("ensemble: " + ", ".join(f"{m.config.kind} x{m.multiplicity}" for m in ensemble.members))
+    print("ensemble: " + ", ".join(f"{m.model.kind} x{m.multiplicity}" for m in ensemble.members))
     print(f"wrote {out / 'model.json'}, {out / 'leaderboard.tsv'}, {out / 'dictionary.tsv'}")
     return 0
 
@@ -218,11 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_args(p)
     _add_search_args(p)
     g = p.add_argument_group("evaluation protocol")
-    g.add_argument("--rounds", type=int, default=10, help="stratified rounds (default 10)")
-    g.add_argument(
-        "--test-fraction", type=float, default=0.1, help="held-out share per round (default 0.1)"
-    )
-    g.add_argument("--top-ngrams", type=int, default=10, help="phrases listed per class")
+    _add_config_arg(g, "--rounds", "stratified rounds")
+    _add_config_arg(g, "--test-fraction", "held-out share per round")
+    _add_config_arg(g, "--top-ngrams", "phrases listed per class")
     _add_out_dir(p)
     p.set_defaults(func=cmd_evaluate)
 

@@ -58,6 +58,10 @@ class RunConfig:
         # checked here so a bad value fails before any document is processed
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.use_stopwords and self.stoplist_path is not None:
+            raise ValueError("stoplist_path is set but use_stopwords is off: set one or the other")
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 1 <= self.max_n <= MAX_NGRAM_LEN:
@@ -294,38 +298,32 @@ def _average_rounds(rounds_out: list[dict]) -> dict:
 
 
 def top_ngrams_per_class(
-    target, dictionary: NGramDictionary, k: int, training: FeatureMatrix
+    ensemble: automl.TrainedEnsemble, dictionary: NGramDictionary, k: int, training: FeatureMatrix
 ) -> dict[str, list[str]]:
     """Top-k most class-discriminative dictionary phrases per class.
 
-    Each model ranks phrases per class by its ``class_margins(training)``
-    (naive Bayes and linear models: one-vs-best-rest parameter margins;
-    forests: permutation importance, each feature attributed to the majority
-    true class among its nonzero training rows). Ensembles fuse member
-    rankings by multiplicity-weighted Borda points. ``target`` is a trained
-    model or ensemble fitted on ``training``, which was vectorized against
-    ``dictionary``.
+    Each member model ranks phrases per class by its
+    ``class_margins(training)`` (naive Bayes and linear models:
+    one-vs-best-rest parameter margins; forests: permutation importance, each
+    feature attributed to the majority true class among its nonzero training
+    rows), and the members' rankings are fused by multiplicity-weighted Borda
+    points. ``ensemble`` was fitted on ``training``, which was vectorized
+    against ``dictionary``.
     """
     F = len(dictionary)
-    members = getattr(target, "members", None)
-    if members is None:
-        weighted = [(target, 1)]
-    else:
-        weighted = [(m.model, m.multiplicity) for m in members]
-    fingerprint = getattr(target, "fingerprint", None)
-    if fingerprint and fingerprint != dictionary.fingerprint:
-        raise ValueError("model was trained against a different dictionary")
+    if ensemble.fingerprint != dictionary.fingerprint:
+        raise ValueError("ensemble was trained against a different dictionary")
     if training.fingerprint != dictionary.fingerprint:
         raise ValueError("training matrix was vectorized against a different dictionary")
 
     totals: dict[int, np.ndarray] = {}
-    for model, mult in weighted:
-        margins = model.class_margins(training)
+    for member in ensemble.members:
+        margins = member.model.class_margins(training)
         if margins is None:  # constant model: no discrimination signal
             continue
-        for class_id, points in zip(model.classes_, _borda_points(margins)):
+        for class_id, points in zip(member.model.classes_, _borda_points(margins)):
             bucket = totals.setdefault(int(class_id), np.zeros(F))
-            bucket += mult * points
+            bucket += member.multiplicity * points
     phrases = [" ".join(p) for p in dictionary.feature_order]
     out: dict[str, list[str]] = {}
     for i, label in enumerate(LABELS):

@@ -35,6 +35,10 @@ class FeatureMatrix:
     fingerprint: str  # of the producing dictionary
     scheme: str
 
+    def __post_init__(self) -> None:
+        if not sp.issparse(self.X) or self.X.ndim != 2:
+            raise ValueError(f"expected 2-D scipy sparse rows, got {type(self.X).__name__}")
+
     @property
     def n_documents(self) -> int:
         return self.X.shape[0]

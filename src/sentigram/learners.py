@@ -10,15 +10,16 @@ Shared contracts:
     margins; forest: vote fractions), and argmax of a row equals ``predict``;
   * argmax ties resolve to the lowest label index;
   * training is deterministic given (kind, hyperparameters, matrix, seed);
-  * rows are scipy sparse (CSR, as the package builds them); dense rows
-    raise ValueError;
+  * rows are a ``FeatureMatrix`` (sparse, as the package builds them) from
+    the dictionary the model was trained against: every entry point that
+    reads rows refuses a matrix with another fingerprint or column count;
   * ``class_margins(training)`` is per-class phrase evidence of shape
     (len(classes_), n_features): larger is more indicative of the class,
     ``-inf`` is none; a constant model returns None.
 
 Models serialize to a self-describing JSON-ready dict (``model_to_dict``)
 carrying kind, hp, class set, parameters, and the dictionary fingerprint of
-the training matrix; ``predict`` refuses a matrix with another fingerprint.
+the training matrix; ``model_from_dict`` refuses a payload without one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import softmax
 
 from .features import FeatureMatrix
@@ -158,30 +158,27 @@ class TrainedModel:
         self.n_features_ = int(n_features)
         self.fingerprint = fingerprint
 
-    def _coerce(self, rows):
-        if isinstance(rows, FeatureMatrix):
-            if self.fingerprint and rows.fingerprint != self.fingerprint:
-                raise ValueError(
-                    "matrix was vectorized against a different dictionary than this model"
-                )
-            rows = rows.X
-        if not sp.issparse(rows):
-            raise ValueError(f"expected scipy sparse rows, got {type(rows).__name__}")
-        if rows.ndim != 2 or rows.shape[1] != self.n_features_:
-            raise ValueError(
-                f"expected {self.n_features_}-column rows, got shape {tuple(rows.shape)}"
-            )
-        return rows
+    def _coerce(self, fm: FeatureMatrix):
+        """The sparse rows of ``fm``, once it is known to be in this model's feature space."""
+        if fm.fingerprint != self.fingerprint:
+            raise ValueError("matrix was vectorized against a different dictionary than the model")
+        if fm.n_features != self.n_features_:
+            raise ValueError(f"expected {self.n_features_}-column rows, got {fm.n_features}")
+        return fm.X
 
-    def predict(self, rows) -> np.ndarray:
-        scores = self.predict_scores(rows)
+    def predict(self, fm: FeatureMatrix) -> np.ndarray:
+        scores = self.predict_scores(fm)
         return self.classes_[np.argmax(scores, axis=1)]
 
-    def predict_scores(self, rows) -> np.ndarray:  # pragma: no cover - abstract
+    def predict_scores(self, fm: FeatureMatrix) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def class_margins(self, training: FeatureMatrix) -> np.ndarray | None:  # pragma: no cover
+    def class_margins(self, training: FeatureMatrix) -> np.ndarray | None:
         """Per-class phrase evidence; ``training`` is the matrix this model was fit on."""
+        self._coerce(training)
+        return self._margins(training)
+
+    def _margins(self, training) -> np.ndarray | None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _params(self) -> dict:  # pragma: no cover - abstract
@@ -194,11 +191,10 @@ class ConstantModel(TrainedModel):
     def _fit(self, X, y):
         pass
 
-    def predict_scores(self, rows):
-        rows = self._coerce(rows)
-        return np.ones((rows.shape[0], 1))
+    def predict_scores(self, fm):
+        return np.ones((self._coerce(fm).shape[0], 1))
 
-    def class_margins(self, training):
+    def _margins(self, training):
         return None  # one class: no discrimination signal
 
     def _params(self):
@@ -234,14 +230,14 @@ class MultinomialNB(TrainedModel):
         # product reads in place; a strided operand is copied on every call
         self.feature_log_prob_ = np.asfortranarray(log_prob)
 
-    def _log_posterior(self, rows):
-        Xc = self._coerce(rows).maximum(0)
+    def _log_posterior(self, fm):
+        Xc = self._coerce(fm).maximum(0)
         return Xc @ self.feature_log_prob_.T + self.class_log_prior_
 
-    def predict_scores(self, rows):
-        return softmax(self._log_posterior(rows), axis=1)
+    def predict_scores(self, fm):
+        return softmax(self._log_posterior(fm), axis=1)
 
-    def class_margins(self, training):
+    def _margins(self, training):
         return _one_vs_best_rest(self.feature_log_prob_)
 
     def _params(self):
@@ -366,11 +362,10 @@ class _MiniBatchLinear(TrainedModel):
         # after training, so its arithmetic is untouched: see MultinomialNB._fit
         self.W_ = np.asfortranarray(self.W_)
 
-    def predict_scores(self, rows):
-        rows = self._coerce(rows)
-        return softmax(rows @ self.W_.T + self.b_, axis=1)
+    def predict_scores(self, fm):
+        return softmax(self._coerce(fm) @ self.W_.T + self.b_, axis=1)
 
-    def class_margins(self, training):
+    def _margins(self, training):
         return _one_vs_best_rest(self.W_)
 
     def _params(self):
@@ -737,9 +732,9 @@ class RandomForest(TrainedModel):
         feat = int(feats[fi])
         return feat, float(bins.thresholds[bins.offsets[feat] + code]), go_left
 
-    def predict_scores(self, rows):
+    def predict_scores(self, fm):
         table = self._table
-        leaves = table.leaves(table.gather(self._coerce(rows)), np.arange(len(self.trees_)))
+        leaves = table.leaves(table.gather(self._coerce(fm)), np.arange(len(self.trees_)))
         return self._votes(leaves) / len(self.trees_)
 
     def _votes(self, leaves):
@@ -748,14 +743,16 @@ class RandomForest(TrainedModel):
         bins = np.arange(n)[:, None] * k + leaves
         return np.bincount(bins.ravel(), minlength=n * k).reshape(n, k)
 
-    def permutation_importance(self, X, y, seed: int = 0, max_rows: int = 256) -> np.ndarray:
-        """Mean accuracy drop on (a subsample of) the given rows — normally
-        the training data — when one feature column is shuffled; features
-        never used in any split have exactly zero importance and are skipped.
-        The rows are routed once; a shuffle re-routes only the trees that
-        split on the shuffled feature, and the other trees' votes are reused.
+    def permutation_importance(
+        self, training: FeatureMatrix, seed: int = 0, max_rows: int = 256
+    ) -> np.ndarray:
+        """Mean accuracy drop on (a subsample of) the labeled rows of
+        ``training`` when one feature column is shuffled; features never used
+        in any split have exactly zero importance and are skipped. The rows
+        are routed once; a shuffle re-routes only the trees that split on the
+        shuffled feature, and the other trees' votes are reused.
         """
-        X, y = self._coerce(X), np.asarray(y)
+        X, y = self._coerce(training), training.y
         rng = np.random.default_rng(seed)
         if X.shape[0] > max_rows:
             keep = rng.choice(X.shape[0], size=max_rows, replace=False)
@@ -782,13 +779,12 @@ class RandomForest(TrainedModel):
             importance[table.used[j]] = base - acc
         return importance
 
-    def class_margins(self, training):
+    def _margins(self, training):
         """Each feature's permutation importance on ``training``, in the row
         of the majority true class among its nonzero training rows; ``-inf``
         elsewhere and for features without positive importance."""
-        X, y = self._coerce(training), training.y
-        importance = self.permutation_importance(X, y, seed=0)
-        Xc = X.tocsc()
+        importance = self.permutation_importance(training, seed=0)
+        y, Xc = training.y, training.X.tocsc()
         margins = np.full((len(self.classes_), self.n_features_), -np.inf)
         for feat in np.nonzero(importance > 0)[0]:  # a shuffle that matters has nonzero rows
             rows = Xc.indices[Xc.indptr[feat] : Xc.indptr[feat + 1]]
@@ -863,6 +859,8 @@ def model_from_dict(payload: dict) -> TrainedModel:
     if payload.get("format") != _MODEL_FORMAT:
         raise ValueError(f"not a model container (format={payload.get('format')!r})")
     _check_kind(payload.get("kind"))
+    if not payload.get("fingerprint"):
+        raise ValueError("model payload has no dictionary fingerprint")
     head = (
         payload["kind"],
         payload["hp"],

@@ -2,6 +2,7 @@
 
 Conventions:
 
+  * labels are indices into ``LABELS``, as the pipeline carries them;
   * precision = diagonal / column sum, recall = diagonal / row sum; a zero
     denominator yields 0 in computations;
   * a class is rendered as "-" (undefined) only when it has zero support
@@ -17,20 +18,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import LABEL_TO_INDEX, LABELS
-
-
-def _as_label_indices(labels) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.dtype.kind in ("U", "S", "O"):
-        return np.asarray([LABEL_TO_INDEX[str(v)] for v in arr], dtype=np.int64)
-    return arr.astype(np.int64)
+from .corpus import LABELS
 
 
 def confusion_matrix(y_true, y_pred) -> np.ndarray:
     """3x3 count matrix indexed (true, predicted) in the fixed label order."""
-    t = _as_label_indices(y_true)
-    p = _as_label_indices(y_pred)
+    t = np.asarray(y_true, dtype=np.int64)
+    p = np.asarray(y_pred, dtype=np.int64)
     if len(t) != len(p):
         raise ValueError(f"length mismatch: {len(t)} true vs {len(p)} predicted")
     k = len(LABELS)
@@ -75,16 +69,6 @@ def weighted_f1(metrics: Mapping[str, ClassMetrics]) -> float:
     if total == 0:
         raise ValueError("weighted F1 needs at least one class with support")
     return sum(m.support * m.f1 for m in metrics.values() if m.support > 0) / total
-
-
-def weighted_f1_values(supports, f1_values) -> float:
-    """weighted_f1 from bare (support, F1) pairs, for externally given F1s."""
-    supports = np.asarray(supports, dtype=float)
-    f1_values = np.asarray(f1_values, dtype=float)
-    if supports.sum() == 0:
-        raise ValueError("weighted F1 needs at least one class with support")
-    keep = supports > 0
-    return float(np.sum(supports[keep] * f1_values[keep]) / supports.sum())
 
 
 def weighted_f1_labels(y_true, y_pred) -> float:

@@ -42,7 +42,7 @@ from sentigram.corpus import (
 from sentigram.evaluation import RunConfig, run_experiment
 from sentigram.features import FeatureMatrix, smote_oversample
 from sentigram.learners import softmax_xent_loss_grad, train
-from sentigram.metrics import per_class_prf, weighted_f1, weighted_f1_labels, weighted_f1_values
+from sentigram.metrics import ClassMetrics, per_class_prf, weighted_f1, weighted_f1_labels
 from sentigram.ngrams import build_dictionary, export_dictionary, import_dictionary
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,11 @@ def test_04_metric_fixtures_match_hand_computations():
             err_msg=f"fixture {i}",
         )
     # support-weighted combination of externally reported per-class F1 scores
-    assert abs(weighted_f1_values([178, 1191, 131], [0.418, 0.904, 0.514]) - 0.812) < 1e-3
+    reported = {
+        label: ClassMetrics(0.0, 0.0, f1, support=support, predicted=0)
+        for label, support, f1 in zip(LABELS, (178, 1191, 131), (0.418, 0.904, 0.514))
+    }
+    assert abs(weighted_f1(reported) - 0.812) < 1e-3
 
 
 def test_05_stratified_splits_hit_per_class_targets():
@@ -298,7 +302,7 @@ def test_06_every_learner_fits_the_separable_toy():
     }
     for kind, hp in hp_by_kind.items():
         model = train(kind, hp, fm, seed=1)
-        accuracy = float((model.predict(fm.X) == y).mean())
+        accuracy = float((model.predict(fm) == y).mean())
         assert accuracy == 1.0, f"{kind} reached only {accuracy:.3f} on the separable toy"
 
     # softmax cross-entropy gradient vs. central finite differences

@@ -444,7 +444,10 @@ class TestFitFinalAndSerialization:
 
     def test_refit_preserves_members_and_reaches_training_accuracy(self):
         fm, sel, ensemble = self._pipeline()
-        assert [(m.config, m.multiplicity) for m in ensemble.members] == sel.members
+        assert [
+            (CandidateConfig(m.model.kind, m.model.hp, m.model.seed), m.multiplicity)
+            for m in ensemble.members
+        ] == sel.members
         assert sum(m.multiplicity for m in ensemble.members) == 3
         np.testing.assert_array_equal(ensemble.predict(fm), fm.y)
         scores = ensemble.predict_scores(fm)
@@ -465,8 +468,36 @@ class TestFitFinalAndSerialization:
         assert back.fingerprint == ensemble.fingerprint
         assert back.oof_trajectory == ensemble.oof_trajectory
         np.testing.assert_allclose(
-            back.predict_scores(fm.X), ensemble.predict_scores(fm), atol=1e-15
+            back.predict_scores(fm), ensemble.predict_scores(fm), atol=1e-15
         )
+
+    def test_raw_rows_are_refused(self):
+        fm, _, ensemble = self._pipeline()
+        for raw in (fm.X, fm.X.toarray()):
+            for call in (ensemble.predict, ensemble.predict_scores):
+                with pytest.raises(AttributeError):
+                    call(raw)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda d: d.update(members=[]), "no members"),
+            (lambda d: d.pop("members"), "no members"),
+            (lambda d: d.pop("fingerprint"), "no fingerprint"),
+            (lambda d: d["members"][0].update(multiplicity=0), "multiplicity below 1"),
+            (lambda d: d["members"][0]["model"].update(fingerprint=""), "fingerprint"),
+        ],
+        ids=["empty-members", "no-members", "no-fingerprint", "zero-multiplicity",
+             "member-without-fingerprint"],
+    )
+    def test_load_rejects_a_malformed_container(self, tmp_path, change, match):
+        _, _, ensemble = self._pipeline()
+        payload = ensemble_to_dict(ensemble)
+        change(payload)
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            load_ensemble(path)
 
     def test_load_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "bogus.json"

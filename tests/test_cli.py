@@ -389,6 +389,10 @@ class TestErrorHandling:
             ["evaluate", "--test-fraction", "1"],
             ["train", "--max-n", "11"],
             ["train", "--min-freq", "0"],
+            ["evaluate", "--stoplist", "/nonexistent", "--no-stopwords"],
+            ["train", "--stoplist", "/nonexistent", "--no-stopwords"],
+            ["evaluate", "--seed", "-1"],
+            ["train", "--seed", "-1"],
         ],
     )
     def test_bad_run_config_exits_2_before_any_work(
@@ -426,6 +430,25 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             main(["bogus"])
         assert excinfo.value.code == 2
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_flags_left_out_run_with_the_run_config_defaults(command, planted_csv, monkeypatch):
+    built = []
+
+    def capture(*args):
+        built.extend(a for a in args if isinstance(a, RunConfig))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    monkeypatch.setattr(cli, "fit_pipeline", capture)
+    with pytest.raises(_Stop):
+        main([command, "--data", planted_csv])
+    assert built == [RunConfig()]
 
 
 class TestConsoleEntryPoints:

@@ -3,11 +3,11 @@ per-class discriminative n-gram reports."""
 
 import json
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sentigram.automl import EnsembleMember, TrainedEnsemble
 from sentigram.corpus import (
     LABELS,
     LabeledDataset,
@@ -30,7 +30,6 @@ from sentigram.metrics import (
     per_class_prf,
     weighted_f1,
     weighted_f1_labels,
-    weighted_f1_values,
 )
 from sentigram.ngrams import build_dictionary
 from sentigram.preprocess import preprocess
@@ -161,11 +160,10 @@ class TestConfusionMatrix:
         cm = confusion_matrix([0, 0, 1, 2, 2, 2], [0, 1, 1, 2, 0, 2])
         np.testing.assert_array_equal(cm, [[1, 1, 0], [0, 1, 0], [1, 0, 2]])
 
-    def test_string_labels_dispatch_to_the_same_cells(self):
-        by_name = confusion_matrix(["positive", "negative"], ["neutral", "negative"])
-        by_index = confusion_matrix([0, 2], [1, 2])
-        np.testing.assert_array_equal(by_name, by_index)
-        assert by_name[0, 1] == 1 and by_name[2, 2] == 1
+    def test_label_names_are_refused(self):
+        # labels are indices into LABELS; the pipeline never passes names
+        with pytest.raises(ValueError):
+            confusion_matrix(["positive", "negative"], ["neutral", "negative"])
 
     def test_empty_inputs_give_all_zero_matrix(self):
         np.testing.assert_array_equal(confusion_matrix([], []), np.zeros((3, 3)))
@@ -230,23 +228,31 @@ class TestMetricFixtures:
             assert 0.0 <= weighted_f1(metrics) <= 1.0
 
 
+def _class_f1s(supports, f1_values):
+    """Per-class metrics that carry only the given supports and F1 values."""
+    return {
+        label: ClassMetrics(0.0, 0.0, f1, support=support, predicted=0)
+        for label, support, f1 in zip(LABELS, supports, f1_values)
+    }
+
+
 class TestWeightedF1:
     def test_external_f1_values_weighted_by_support(self):
-        value = weighted_f1_values([178, 1191, 131], [0.418, 0.904, 0.514])
+        value = weighted_f1(_class_f1s([178, 1191, 131], [0.418, 0.904, 0.514]))
         np.testing.assert_allclose(value, 0.812268, rtol=0, atol=1e-9)
         assert abs(value - 0.812) < 1e-3
 
     def test_zero_support_classes_are_excluded(self):
-        assert weighted_f1_values([0, 10, 0], [0.9, 0.5, 0.7]) == pytest.approx(0.5)
+        assert weighted_f1(_class_f1s([0, 10, 0], [0.9, 0.5, 0.7])) == pytest.approx(0.5)
 
     def test_no_support_anywhere_raises(self):
         with pytest.raises(ValueError, match="at least one class"):
-            weighted_f1_values([0, 0, 0], [0.1, 0.2, 0.3])
+            weighted_f1(_class_f1s([0, 0, 0], [0.1, 0.2, 0.3]))
         with pytest.raises(ValueError, match="at least one class"):
             weighted_f1(per_class_prf(np.zeros((3, 3), dtype=int)))
 
     def test_labels_convenience_matches_hand_value(self):
-        value = weighted_f1_labels(["positive"] * 9 + ["neutral"], ["positive"] * 10)
+        value = weighted_f1_labels([0] * 9 + [1], [0] * 10)
         np.testing.assert_allclose(value, 0.9 * (1.8 / 1.9), rtol=0, atol=1e-12)
 
 
@@ -285,6 +291,8 @@ class TestRunConfigAndReport:
             ({"test_fraction": 0.0}, "test_fraction"),
             ({"test_fraction": 1.0}, "test_fraction"),
             ({"scheme": "tfidf"}, "scheme"),
+            ({"seed": -1}, "seed"),
+            ({"use_stopwords": False, "stoplist_path": "stop.txt"}, "stoplist_path"),
         ],
     )
     def test_rejects_bad_search_settings(self, kwargs, match):
@@ -332,6 +340,13 @@ class TestRankingHelpers:
         assert fuse_rankings(rankings, k=-1)["positive"] == ["x", "y", "z"]
 
 
+def solo(model):
+    """A one-member ensemble of ``model``."""
+    return TrainedEnsemble(
+        members=[EnsembleMember(model=model, multiplicity=1)], fingerprint=model.fingerprint
+    )
+
+
 def _two_word_fixture():
     """Dictionary {bad, good} plus a matrix where good marks class 0, bad class 2."""
     tokens = [["good", "good"], ["good"], ["bad", "bad"], ["bad"]]
@@ -350,7 +365,7 @@ class TestTopNgrams:
     def test_naive_bayes_ranks_planted_words_first(self):
         dictionary, fm = _two_word_fixture()
         model = train("multinomial_nb", {"alpha": 1.0}, fm, seed=0)
-        tops = top_ngrams_per_class(model, dictionary, k=2, training=fm)
+        tops = top_ngrams_per_class(solo(model), dictionary, k=2, training=fm)
         assert tops["positive"] == ["good", "bad"]
         assert tops["negative"] == ["bad", "good"]
         assert tops["neutral"] == []  # class never observed
@@ -363,14 +378,14 @@ class TestTopNgrams:
             fm,
             seed=0,
         )
-        tops = top_ngrams_per_class(model, dictionary, k=1, training=fm)
+        tops = top_ngrams_per_class(solo(model), dictionary, k=1, training=fm)
         assert tops["positive"] == ["good"]
         assert tops["negative"] == ["bad"]
 
     def test_k_zero_empties_every_list(self):
         dictionary, fm = _two_word_fixture()
         model = train("multinomial_nb", {"alpha": 1.0}, fm, seed=0)
-        assert top_ngrams_per_class(model, dictionary, k=0, training=fm) == {
+        assert top_ngrams_per_class(solo(model), dictionary, k=0, training=fm) == {
             label: [] for label in LABELS
         }
 
@@ -384,7 +399,7 @@ class TestTopNgrams:
             scheme="count_x_weight",
         )
         model = train("multinomial_nb", {"alpha": 1.0}, fm, seed=0)
-        assert top_ngrams_per_class(model, dictionary, k=5, training=fm) == {
+        assert top_ngrams_per_class(solo(model), dictionary, k=5, training=fm) == {
             label: [] for label in LABELS
         }
 
@@ -416,7 +431,7 @@ class TestTopNgrams:
             "bootstrap": False,
         }
         model = train("random_forest", hp, fm, seed=0)
-        tops = top_ngrams_per_class(model, dictionary, k=3, training=fm)
+        tops = top_ngrams_per_class(solo(model), dictionary, k=3, training=fm)
         assert tops == {"positive": ["aa"], "neutral": ["bb"], "negative": ["cc"]}
 
     def test_ensemble_fusion_weights_members_by_multiplicity(self):
@@ -427,18 +442,18 @@ class TestTopNgrams:
         )
         swapped = train("multinomial_nb", {"alpha": 1.0}, swapped_fm, seed=0)
 
-        def fake_ensemble(m_forward, m_swapped):
-            return SimpleNamespace(
+        def ensemble(m_forward, m_swapped):
+            return TrainedEnsemble(
                 members=[
-                    SimpleNamespace(model=forward, multiplicity=m_forward),
-                    SimpleNamespace(model=swapped, multiplicity=m_swapped),
+                    EnsembleMember(model=forward, multiplicity=m_forward),
+                    EnsembleMember(model=swapped, multiplicity=m_swapped),
                 ],
                 fingerprint=dictionary.fingerprint,
             )
 
-        tops = top_ngrams_per_class(fake_ensemble(3, 1), dictionary, k=2, training=fm)
+        tops = top_ngrams_per_class(ensemble(3, 1), dictionary, k=2, training=fm)
         assert tops["positive"] == ["good", "bad"]
-        tops = top_ngrams_per_class(fake_ensemble(1, 3), dictionary, k=2, training=fm)
+        tops = top_ngrams_per_class(ensemble(1, 3), dictionary, k=2, training=fm)
         assert tops["positive"] == ["bad", "good"]
 
     def test_dictionary_fingerprint_mismatch_raises(self):
@@ -446,10 +461,13 @@ class TestTopNgrams:
         model = train("multinomial_nb", {"alpha": 1.0}, fm, seed=0)
         other = build_dictionary([["good"], ["good"], ["fine"], ["fine"]], max_n=1, min_freq=2)
         with pytest.raises(ValueError, match="different dictionary"):
-            top_ngrams_per_class(model, other, k=2, training=fm)
+            top_ngrams_per_class(solo(model), other, k=2, training=fm)
+        unmarked = TrainedEnsemble(members=solo(model).members, fingerprint="")
+        with pytest.raises(ValueError, match="different dictionary"):
+            top_ngrams_per_class(unmarked, dictionary, k=2, training=fm)
         foreign = FeatureMatrix(X=fm.X, y=fm.y, fingerprint="other", scheme=fm.scheme)
         with pytest.raises(ValueError, match="different dictionary"):
-            top_ngrams_per_class(model, dictionary, k=2, training=foreign)
+            top_ngrams_per_class(solo(model), dictionary, k=2, training=foreign)
 
 
 # ---------------------------------------------------------------------------

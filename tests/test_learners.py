@@ -35,6 +35,11 @@ def json_roundtrip(model):
     return model_from_dict(json.loads(json.dumps(model_to_dict(model))))
 
 
+def probe_matrix(X):
+    """Raw sparse rows as a matrix of the test dictionary."""
+    return FeatureMatrix(X=X, y=None, fingerprint=FP, scheme="count")
+
+
 def separable_matrix(n_per_class=8, noise=0.05, seed=0, classes=(0, 1, 2)):
     """Linearly separable sparse data: class c loads on feature pair (2c, 2c+1)."""
     rng = np.random.default_rng(seed)
@@ -124,7 +129,7 @@ class TestMultinomialNB:
         X = sp.csr_matrix(np.asarray([[2.0, 0.0], [0.0, 3.0]]))
         fm = FeatureMatrix(X=X, y=np.asarray([0, 1]), fingerprint=FP, scheme="count")
         model = train("multinomial_nb", {"alpha": 1.0}, fm)
-        probe = sp.csr_matrix(np.asarray([[1.0, 0.0]]))
+        probe = probe_matrix(sp.csr_matrix(np.asarray([[1.0, 0.0]])))
         # posterior ratio for [1, 0]: p(c) * p(f0 | c)
         post = np.asarray([0.5 * 3 / 4, 0.5 * 1 / 5])
         np.testing.assert_allclose(
@@ -149,8 +154,9 @@ class TestMultinomialNB:
         a = train("multinomial_nb", {}, FeatureMatrix(X_neg, y, FP, "count_x_weight"))
         b = train("multinomial_nb", {}, FeatureMatrix(X_clamped, y, FP, "count_x_weight"))
         np.testing.assert_allclose(a.feature_log_prob_, b.feature_log_prob_, atol=1e-15)
-        probe = sp.csr_matrix(np.asarray([[1.0, -2.0]]))
-        np.testing.assert_allclose(a.predict_scores(probe), b.predict_scores(sp.csr_matrix(np.asarray([[1.0, 0.0]]))), atol=1e-15)
+        probe = probe_matrix(sp.csr_matrix(np.asarray([[1.0, -2.0]])))
+        clamped = probe_matrix(sp.csr_matrix(np.asarray([[1.0, 0.0]])))
+        np.testing.assert_allclose(a.predict_scores(probe), b.predict_scores(clamped), atol=1e-15)
 
     def test_prior_reflects_class_imbalance(self):
         X = sp.csr_matrix(np.ones((4, 1)))
@@ -299,18 +305,18 @@ class TestSharedPredictContract:
     def test_reaches_full_training_accuracy_on_separable_data(self, kind):
         fm = separable_matrix()
         model = train(kind, fast_hp(kind), fm, seed=0)
-        np.testing.assert_array_equal(model.predict(fm.X), fm.y)
+        np.testing.assert_array_equal(model.predict(fm), fm.y)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_scores_are_distributions_and_argmax_equals_predict(self, kind):
         fm = separable_matrix(seed=4)
         model = train(kind, fast_hp(kind), fm, seed=0)
-        scores = model.predict_scores(fm.X)
+        scores = model.predict_scores(fm)
         assert scores.shape == (fm.n_documents, len(model.classes_))
         assert np.all(scores >= 0)
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(
-            model.classes_[np.argmax(scores, axis=1)], model.predict(fm.X)
+            model.classes_[np.argmax(scores, axis=1)], model.predict(fm)
         )
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -318,8 +324,8 @@ class TestSharedPredictContract:
         fm = separable_matrix(classes=(0, 2), seed=5)  # no neutral documents
         model = train(kind, fast_hp(kind), fm, seed=0)
         np.testing.assert_array_equal(model.classes_, [0, 2])
-        assert set(model.predict(fm.X)) <= {0, 2}
-        assert model.predict_scores(fm.X).shape[1] == 2
+        assert set(model.predict(fm)) <= {0, 2}
+        assert model.predict_scores(fm).shape[1] == 2
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_deterministic_given_seed(self, kind):
@@ -327,7 +333,7 @@ class TestSharedPredictContract:
         a = train(kind, fast_hp(kind), fm, seed=9)
         b = train(kind, fast_hp(kind), fm, seed=9)
         np.testing.assert_array_equal(
-            a.predict_scores(fm.X), b.predict_scores(fm.X)
+            a.predict_scores(fm), b.predict_scores(fm)
         )
         assert model_to_dict(a) == model_to_dict(b)
 
@@ -336,7 +342,7 @@ class TestSharedPredictContract:
         X = sp.csr_matrix(np.asarray([[1.0], [1.0]]))
         fm = FeatureMatrix(X=X, y=np.asarray([0, 2]), fingerprint=FP, scheme="count")
         model = train("multinomial_nb", {}, fm)
-        probe = sp.csr_matrix(np.zeros((1, 1)))
+        probe = probe_matrix(sp.csr_matrix(np.zeros((1, 1))))
         scores = model.predict_scores(probe)
         assert scores[0, 0] == pytest.approx(scores[0, 1], abs=1e-12)
         assert model.predict(probe)[0] == 0
@@ -347,8 +353,8 @@ class TestSharedPredictContract:
             model = train(kind, {}, fm, seed=0)
             assert isinstance(model, ConstantModel)
             assert model.kind == kind
-            np.testing.assert_array_equal(model.predict(fm.X), np.ones(fm.n_documents))
-            np.testing.assert_array_equal(model.predict_scores(fm.X), 1.0)
+            np.testing.assert_array_equal(model.predict(fm), np.ones(fm.n_documents))
+            np.testing.assert_array_equal(model.predict_scores(fm), 1.0)
             assert model.class_margins(fm) is None
 
     def test_train_argument_validation(self):
@@ -371,18 +377,31 @@ class TestSharedPredictContract:
         with pytest.raises(ValueError, match="different dictionary"):
             model.predict(other)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_raw_rows_are_refused_by_every_entry_point(self, kind):
+        # only a FeatureMatrix carries the fingerprint the guard compares
+        fm = separable_matrix()
+        model = train(kind, fast_hp(kind), fm, seed=0)
+        calls = [model.predict, model.predict_scores, model.class_margins]
+        if kind == "random_forest":
+            calls.append(model.permutation_importance)
+        for call in calls:
+            for raw in (fm.X, fm.X.toarray()):
+                with pytest.raises(AttributeError, match="fingerprint"):
+                    call(raw)
+
     def test_wrong_column_count_rejected(self):
         fm = separable_matrix()
         model = train("multinomial_nb", {}, fm)
         with pytest.raises(ValueError, match="column"):
-            model.predict(sp.csr_matrix((2, 3)))
+            model.predict(probe_matrix(sp.csr_matrix((2, 3))))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_dense_rows_rejected(self, kind):
         fm = separable_matrix()
         model = train(kind, fast_hp(kind), fm, seed=0)
         with pytest.raises(ValueError, match="sparse"):
-            model.predict_scores(fm.X.toarray())
+            model.predict_scores(probe_matrix(fm.X.toarray()))
 
 
 class TestClassMargins:
@@ -409,10 +428,10 @@ class TestRandomForest:
         )
         hp = {"n_trees": 10, "max_depth": 3, "bootstrap": False, "feature_fraction": 1.0}
         model = train("random_forest", hp, fm, seed=0)
-        np.testing.assert_array_equal(model.predict(fm.X), y)
+        np.testing.assert_array_equal(model.predict(fm), y)
         # without bootstrap every tree sees the same rows and full feature set,
         # so the consensus is unanimous
-        np.testing.assert_allclose(model.predict_scores(fm.X).max(axis=1), 1.0)
+        np.testing.assert_allclose(model.predict_scores(fm).max(axis=1), 1.0)
 
     def test_high_cardinality_feature_still_informative_after_binning(self):
         # > 32 unique values trigger threshold subsampling: splits become
@@ -425,13 +444,13 @@ class TestRandomForest:
         )
         hp = {"n_trees": 10, "max_depth": 3, "bootstrap": False, "feature_fraction": 1.0}
         model = train("random_forest", hp, fm, seed=0)
-        assert np.mean(model.predict(fm.X) == y) >= 0.95
+        assert np.mean(model.predict(fm) == y) >= 0.95
 
     def test_vote_fractions_are_tree_consensus(self):
         fm = separable_matrix(seed=8)
         hp = {"n_trees": 11, "max_depth": 8, "bootstrap": True, "feature_fraction": 1.0}
         model = train("random_forest", hp, fm, seed=2)
-        scores = model.predict_scores(fm.X)
+        scores = model.predict_scores(fm)
         votes = scores * 11
         np.testing.assert_allclose(votes, np.round(votes), atol=1e-9)
 
@@ -445,7 +464,7 @@ class TestRandomForest:
         fm = FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count")
         hp = {"n_trees": 15, "max_depth": 4, "feature_fraction": 1.0, "bootstrap": True}
         model = train("random_forest", hp, fm, seed=3)
-        imp = model.permutation_importance(fm.X, fm.y, seed=0)
+        imp = model.permutation_importance(fm, seed=0)
         assert imp.shape == (4,)
         assert imp[2] > 0.2
         assert imp[2] > max(imp[0], imp[1], imp[3])
@@ -454,10 +473,10 @@ class TestRandomForest:
         fm = separable_matrix(seed=9)
         hp = {"n_trees": 10, "max_depth": 6, "feature_fraction": 1.0, "bootstrap": True}
         model = train("random_forest", hp, fm, seed=1)
-        first = model.permutation_importance(fm.X, fm.y, seed=0, max_rows=8)
+        first = model.permutation_importance(fm, seed=0, max_rows=8)
         assert first.shape == (fm.n_features,)
         np.testing.assert_array_equal(
-            model.permutation_importance(fm.X, fm.y, seed=0, max_rows=8), first
+            model.permutation_importance(fm, seed=0, max_rows=8), first
         )
 
     def test_reloaded_forest_predicts_and_ranks_identically(self):
@@ -465,10 +484,10 @@ class TestRandomForest:
         model = train("random_forest", fast_hp("random_forest"), fm, seed=4)
         back = json_roundtrip(model)
         np.testing.assert_array_equal(
-            back.predict_scores(fm.X), model.predict_scores(fm.X)
+            back.predict_scores(fm), model.predict_scores(fm)
         )
         np.testing.assert_array_equal(
-            back.permutation_importance(fm.X, fm.y), model.permutation_importance(fm.X, fm.y)
+            back.permutation_importance(fm), model.permutation_importance(fm)
         )
 
 
@@ -707,15 +726,16 @@ class TestPackedForest:
                         at_threshold[-1][f] = thr
             probe = sp.csr_matrix(np.vstack([rows, *at_threshold]))
             y_probe = np.arange(probe.shape[0]) % 3
+            probe_fm = FeatureMatrix(X=probe, y=y_probe, fingerprint=FP, scheme="count")
             for forest in (model, json_roundtrip(model)):
                 votes = reference_votes(forest, probe.toarray())
-                np.testing.assert_array_equal(forest.predict_scores(probe), votes / 10)
+                np.testing.assert_array_equal(forest.predict_scores(probe_fm), votes / 10)
                 np.testing.assert_array_equal(
-                    forest.predict(probe), forest.classes_[np.argmax(votes, axis=1)]
+                    forest.predict(probe_fm), forest.classes_[np.argmax(votes, axis=1)]
                 )
                 for max_rows in (256, 50):
                     np.testing.assert_array_equal(
-                        forest.permutation_importance(probe, y_probe, seed=leaf, max_rows=max_rows),
+                        forest.permutation_importance(probe_fm, seed=leaf, max_rows=max_rows),
                         reference_importance(forest, probe, y_probe, seed=leaf, max_rows=max_rows),
                     )
         assert forest._table.depth > 3
@@ -729,9 +749,9 @@ class TestPackedForest:
         assert all(len(t.feature) == 1 for t in model.trees_)
         probe = sp.csr_matrix(np.eye(3, 5))
         np.testing.assert_array_equal(
-            model.predict_scores(probe), reference_votes(model, probe.toarray()) / 10
+            model.predict_scores(probe_matrix(probe)), reference_votes(model, probe.toarray()) / 10
         )
-        np.testing.assert_array_equal(model.permutation_importance(fm.X, fm.y), np.zeros(5))
+        np.testing.assert_array_equal(model.permutation_importance(fm), np.zeros(5))
         margins = model.class_margins(fm)
         assert margins.shape == (3, 5) and np.all(margins == -np.inf)
 
@@ -740,10 +760,10 @@ class TestPackedForest:
 def test_predicts_zero_rows_and_an_all_zero_row(kind):
     fm = separable_matrix(seed=15)
     model = train(kind, fast_hp(kind), fm, seed=0)
-    empty = model.predict_scores(sp.csr_matrix((0, fm.n_features)))
+    empty = model.predict_scores(probe_matrix(sp.csr_matrix((0, fm.n_features))))
     assert empty.shape == (0, len(model.classes_))
-    assert model.predict(sp.csr_matrix((0, fm.n_features))).shape == (0,)
-    zero = model.predict_scores(sp.csr_matrix((1, fm.n_features)))
+    assert model.predict(probe_matrix(sp.csr_matrix((0, fm.n_features)))).shape == (0,)
+    zero = model.predict_scores(probe_matrix(sp.csr_matrix((1, fm.n_features))))
     assert zero.shape == (1, len(model.classes_))
     assert zero.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -759,7 +779,7 @@ class TestSerialization:
         assert back.hp == model.hp
         np.testing.assert_array_equal(back.classes_, model.classes_)
         np.testing.assert_allclose(
-            back.predict_scores(fm.X), model.predict_scores(fm.X), atol=1e-15
+            back.predict_scores(fm), model.predict_scores(fm), atol=1e-15
         )
 
     @pytest.mark.parametrize("kind", ["multinomial_nb", "logistic_regression", "linear_svm"])
@@ -771,18 +791,28 @@ class TestSerialization:
         table = "feature_log_prob_" if kind == "multinomial_nb" else "W_"
         for m in (model, back):
             assert getattr(m, table).T.flags.c_contiguous
-        np.testing.assert_array_equal(back.predict_scores(fm.X), model.predict_scores(fm.X))
+        np.testing.assert_array_equal(back.predict_scores(fm), model.predict_scores(fm))
 
     def test_constant_model_roundtrip(self):
         fm = separable_matrix(classes=(2,), seed=12)
         model = train("linear_svm", {}, fm)
         back = json_roundtrip(model)
         assert isinstance(back, ConstantModel)
-        np.testing.assert_array_equal(back.predict(fm.X), 2)
+        np.testing.assert_array_equal(back.predict(fm), 2)
 
     def test_foreign_payload_rejected(self):
         with pytest.raises(ValueError, match="format"):
             model_from_dict({"format": "nonsense/9", "kind": "multinomial_nb"})
+
+    def test_payload_without_a_fingerprint_rejected(self):
+        # a model without its dictionary's fingerprint would score any matrix
+        payload = model_to_dict(train("multinomial_nb", {}, separable_matrix(seed=17)))
+        for fingerprint in ("", None):
+            with pytest.raises(ValueError, match="fingerprint"):
+                model_from_dict({**payload, "fingerprint": fingerprint})
+        del payload["fingerprint"]
+        with pytest.raises(ValueError, match="fingerprint"):
+            model_from_dict(payload)
 
     def test_unknown_kind_rejected_on_load(self):
         payload = model_to_dict(train("multinomial_nb", {}, separable_matrix(seed=16)))

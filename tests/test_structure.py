@@ -1,10 +1,12 @@
 """Package structure: imports sit at module level, each submodule is reachable
 as an attribute of the package, the search (automl) does not depend on the
 experiment driver (evaluation), the driver reads learners only through
-their public contract, and phrase lookup lives in the dictionary (ngrams)."""
+their public contract, phrase lookup lives in the dictionary (ngrams), and
+each entry point takes one input form."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,23 @@ def test_phrase_lookup_lives_in_ngrams():
     # not walk the dictionary's index itself
     lookup = {"feature_index", "max_n", "phrase_prefixes", "_dictionary_counts"}
     assert _names("features.py") & lookup == set()
+
+
+def _calls(module):
+    """Every call expression in a module as source text, e.g. ``sp.issparse(self.X)``."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+
+def test_entry_points_take_one_input_form():
+    # rows reach models, ensembles and rankings as a FeatureMatrix, whose own
+    # constructor is the one check that they are 2-D sparse
+    for module in ("learners.py", "automl.py", "evaluation.py"):
+        probes = [
+            call
+            for call in _calls(module)
+            if "issparse(" in call or re.match(r"isinstance\([^,]+, FeatureMatrix\)", call)
+        ]
+        assert probes == [], f"{module}: {probes}"
+    assert [c for c in _calls("evaluation.py") if c.startswith("getattr(")] == []
+    assert [c.split("(")[0] for c in _calls("features.py")].count("sp.issparse") == 1
