@@ -416,12 +416,17 @@ def load_ensemble(path) -> TrainedEnsemble:
     for key in ("members", "fingerprint"):
         if not payload.get(key):
             raise ValueError(f"{path}: ensemble container has no {key}")
-    members = [
-        EnsembleMember(model=model_from_dict(spec["model"]), multiplicity=spec["multiplicity"])
-        for spec in payload["members"]
-    ]
-    if min(m.multiplicity for m in members) < 1:
-        raise ValueError(f"{path}: ensemble member multiplicity below 1")
+    members = []
+    for spec in payload["members"]:
+        for key in ("model", "multiplicity"):
+            if key not in spec:
+                raise ValueError(f"{path}: ensemble member has no {key}")
+        count = spec["multiplicity"]
+        if type(count) is not int:  # bool is a subclass of int and is refused too
+            raise ValueError(f"{path}: ensemble member multiplicity {count!r} is not an integer")
+        if count < 1:
+            raise ValueError(f"{path}: ensemble member multiplicity below 1")
+        members.append(EnsembleMember(model=model_from_dict(spec["model"]), multiplicity=count))
     return TrainedEnsemble(
         members=members,
         fingerprint=payload["fingerprint"],

@@ -17,7 +17,13 @@ import numpy as np
 
 from .automl import DEFAULT_BUDGET_SECONDS, ensemble_to_dict, export_leaderboard
 from .corpus import LABELS, DatasetError, class_distribution, load_dataset
-from .evaluation import RunConfig, fit_pipeline, render_report, run_experiment
+from .evaluation import (
+    RunConfig,
+    check_stoplist_choice,
+    fit_pipeline,
+    render_report,
+    run_experiment,
+)
 from .features import SCHEMES
 from .ngrams import build_dictionary, export_dictionary
 from .preprocess import load_stoplist, preprocess
@@ -96,6 +102,7 @@ def _out_dir(args) -> Path:
 
 
 def _stoplist_from(args):
+    check_stoplist_choice(not args.no_stopwords, args.stoplist)
     return load_stoplist(args.stoplist) if not args.no_stopwords else None
 
 
@@ -111,8 +118,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    ds = load_dataset(args.data)
     stoplist = _stoplist_from(args)
+    ds = load_dataset(args.data)
     tokens = [preprocess(text, stoplist) for text in ds.texts()]
     dictionary = build_dictionary(tokens, max_n=args.max_n, min_freq=args.min_freq)
     out = Path(args.out) if args.out else _out_dir(args) / "dictionary.tsv"

@@ -34,6 +34,12 @@ from .preprocess import load_stoplist, preprocess
 # experiment driver
 
 
+def check_stoplist_choice(use_stopwords: bool, stoplist_path: str | None) -> None:
+    """Refuse a custom stop list when stop-word removal is off."""
+    if not use_stopwords and stoplist_path is not None:
+        raise ValueError("stoplist_path is set but use_stopwords is off: set one or the other")
+
+
 @dataclass
 class RunConfig:
     """Everything a run depends on; echoed verbatim into every report."""
@@ -60,8 +66,7 @@ class RunConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.use_stopwords and self.stoplist_path is not None:
-            raise ValueError("stoplist_path is set but use_stopwords is off: set one or the other")
+        check_stoplist_choice(self.use_stopwords, self.stoplist_path)
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 1 <= self.max_n <= MAX_NGRAM_LEN:

@@ -1,5 +1,6 @@
 """From-scratch classifier portfolio: multinomial NB, softmax regression,
-linear SVM (one-vs-rest), and a random forest.
+linear SVM (one-vs-rest, squared hinge), and a random forest. Both linear
+models minimize their full-batch regularized objective by L-BFGS.
 
 Shared contracts:
 
@@ -24,12 +25,12 @@ the training matrix; ``model_from_dict`` refuses a payload without one.
 
 from __future__ import annotations
 
-import functools
+import collections
 import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import softmax
+from scipy.special import log_softmax, softmax
 
 from .features import FeatureMatrix
 
@@ -41,16 +42,10 @@ HP_SPACE = {
         "alpha": ("log", 1e-2, 10.0),
     },
     "logistic_regression": {
-        "learning_rate": ("log", 1e-3, 1.0),
         "l2": ("log", 1e-7, 1e-1),
-        "epochs": ("int", 10, 200),
-        "batch_size": ("choice", (16, 32, 64, 128)),
     },
     "linear_svm": {
-        "learning_rate": ("log", 1e-3, 0.5),
         "l2": ("log", 1e-7, 1e-1),
-        "epochs": ("int", 10, 200),
-        "batch_size": ("choice", (16, 32, 64, 128)),
     },
     "random_forest": {
         "n_trees": ("int", 10, 80),
@@ -63,8 +58,8 @@ HP_SPACE = {
 
 DEFAULT_HP = {
     "multinomial_nb": {"alpha": 1.0},
-    "logistic_regression": {"learning_rate": 0.1, "l2": 1e-4, "epochs": 60, "batch_size": 32},
-    "linear_svm": {"learning_rate": 0.05, "l2": 1e-4, "epochs": 60, "batch_size": 32},
+    "logistic_regression": {"l2": 1e-4},
+    "linear_svm": {"l2": 1e-4},
     "random_forest": {
         "n_trees": 40,
         "max_depth": 12,
@@ -75,7 +70,11 @@ DEFAULT_HP = {
 }
 
 _MODEL_FORMAT = "sentigram-model/1"
-_REL_TOL = 1e-6  # relative objective change below which linear-model epochs stop
+
+# the linear models' L-BFGS fit
+_LBFGS_MEMORY = 10  # curvature pairs kept
+_LBFGS_MAX_ITER = 200  # steps
+_LBFGS_REL_DECREASE = 1e-9  # a step lowering the objective by less, relatively, ends the fit
 
 
 def default_hp(kind: str) -> dict:
@@ -255,112 +254,103 @@ class MultinomialNB(TrainedModel):
 
 
 def softmax_xent_loss_grad(W, b, X, y_local, l2):
-    """Full-batch regularized cross-entropy loss and its analytic gradient.
+    """Mean softmax cross-entropy plus 0.5*l2*||W||^2, and its analytic gradient.
 
     W: (k, F), b: (k,), y_local: class indices 0..k-1 aligned with X rows.
     Returns (loss, grad_W, grad_b). The bias is unregularized. This is the
-    exact function the trainer descends: its step shares ``_xent_delta`` and
-    takes the same products, bit for bit, on each batch. It is exposed so the
-    gradient can be checked against finite differences.
+    objective ``SoftmaxRegression`` minimizes; it is exposed so the gradient
+    can be checked against finite differences.
     """
-    probs = softmax(X @ W.T + b, axis=1)
-    loss = _xent_loss(probs, y_local, W, l2)
-    delta = _xent_delta(probs, y_local)
+    n = len(y_local)
+    rows = np.arange(n)
+    log_probs = log_softmax(X @ W.T + b, axis=1)
+    loss = -np.mean(log_probs[rows, y_local]) + 0.5 * l2 * np.sum(W * W)
+    delta = np.exp(log_probs)  # the mean loss's gradient with respect to the logits
+    delta[rows, y_local] -= 1.0
+    delta /= n
     return loss, (X.T @ delta).T + l2 * W, delta.sum(axis=0)
 
 
-def _xent_loss(probs, y_local, W, l2):
-    picked = probs[np.arange(len(y_local)), y_local]
-    return -np.mean(np.log(np.maximum(picked, 1e-300))) + 0.5 * l2 * float(np.sum(W * W))
+def squared_hinge_loss_grad(W, b, X, y_local, l2):
+    """One-vs-rest squared hinge plus 0.5*l2*||W||^2, and its analytic gradient.
 
-
-def _xent_delta(probs, y_local):
-    """The mean loss's gradient with respect to the logits, computed in ``probs``."""
-    n = len(y_local)
-    probs[np.arange(n), y_local] -= 1.0
-    probs /= n
-    return probs
-
-
-class _Rows(NamedTuple):
-    """Rows of a CSR matrix as raw arrays: its structure plus each stored
-    entry's row.
-
-    The products sum each output element's terms in stored-entry order,
-    starting from 0.0, as scipy's ``csr_matvecs``/``csc_matvecs`` do, so they
-    equal ``X @ W.T`` and ``(X.T @ D).T`` on the same rows bit for bit.
+    Class c's target is +1 on its own rows and -1 on the others; a row adds
+    max(0, 1 - target * margin)^2 per class (LIBLINEAR's default L2-loss SVM
+    primal), summed over classes and averaged over rows. ``LinearSVMOvR``
+    minimizes it; arguments and returns are ``softmax_xent_loss_grad``'s.
     """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    row: np.ndarray
-    n_cols: int
-
-    @classmethod
-    def of(cls, X):
-        """All rows of CSR ``X``."""
-        row = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
-        return cls(X.indptr, X.indices, X.data, row, X.shape[1])
-
-    @property
-    def n_rows(self):
-        return len(self.indptr) - 1
-
-    def block(self, start, stop):
-        """Rows [start, stop), as views of these arrays."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        return _Rows(
-            self.indptr[start : stop + 1] - lo,
-            self.indices[lo:hi],
-            self.data[lo:hi],
-            self.row[lo:hi] - start,
-            self.n_cols,
-        )
-
-    def times(self, W):
-        """``X @ W.T``, a C-ordered (n_rows, k) array."""
-        k = W.shape[0]
-        bins = self.row * k + np.arange(k)[:, None]
-        terms = W[:, self.indices] * self.data
-        return np.bincount(bins.ravel(), terms.ravel(), self.n_rows * k).reshape(self.n_rows, k)
-
-    def t_times(self, D):
-        """``(X.T @ D).T``, a (k, n_cols) array."""
-        k = D.shape[1]
-        bins = self.indices + self.n_cols * np.arange(k)[:, None]
-        terms = D.T[:, self.row] * self.data
-        return np.bincount(bins.ravel(), terms.ravel(), k * self.n_cols).reshape(k, self.n_cols)
+    n, k = len(y_local), len(b)
+    Y = np.where(np.arange(k) == y_local[:, None], 1.0, -1.0)
+    slack = np.maximum(0.0, 1.0 - Y * (X @ W.T + b))
+    loss = np.sum(slack * slack) / n + 0.5 * l2 * np.sum(W * W)
+    delta = (-2.0 / n) * Y * slack
+    return loss, (X.T @ delta).T + l2 * W, delta.sum(axis=0)
 
 
-class _MiniBatchLinear(TrainedModel):
-    """Shared epoch/minibatch scaffolding for the two linear models."""
+def _dot(a, b):
+    """``a . b`` by einsum's own loop: unlike BLAS, its sum does not vary with the thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _lbfgs(fun, x):
+    """Minimize ``fun`` (returning value and gradient) from ``x`` by L-BFGS
+    (Liu & Nocedal, Math. Programming 1989) with Armijo backtracking; stop
+    early when a step lowers the value by less than ``_LBFGS_REL_DECREASE``."""
+    f, g = fun(x)
+    pairs = collections.deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / y.s), oldest first
+    for _ in range(_LBFGS_MAX_ITER):
+        # two-loop recursion: q = H g, H starting from the newest pair's s.y / y.y
+        q, alphas = g.copy(), []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * _dot(s, q))
+            q -= alphas[-1] * y
+        if pairs:
+            q /= pairs[-1][2] * _dot(pairs[-1][1], pairs[-1][1])
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * _dot(y, q)) * s
+        slope = -_dot(g, q)
+        if not slope < 0.0:  # a zero gradient
+            break
+        t = 1.0 if pairs else min(1.0, 1.0 / math.sqrt(-slope))  # a first step of length <= 1
+        for _ in range(60):
+            x_new = x - t * q
+            f_new, g_new = fun(x_new)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no step lowers the value at this precision
+        s, y = x_new - x, g_new - g
+        ys = _dot(y, s)
+        if ys > np.finfo(float).eps * _dot(y, y):  # keeps H positive definite
+            pairs.append((s, y, 1.0 / ys))
+        done = f - f_new <= _LBFGS_REL_DECREASE * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+    return x
+
+
+class _LinearModel(TrainedModel):
+    """Weights ``W_`` (k, F) and biases ``b_`` minimizing the subclass's
+    full-batch objective ``_loss_grad`` (W, b, X, y_local, l2) -> (loss,
+    grad_W, grad_b), found by L-BFGS from zero."""
 
     def _fit(self, X, y):
         X = X.tocsr()
         k, F = len(self.classes_), self.n_features_
         y_local = np.searchsorted(self.classes_, y)
-        self.W_ = np.zeros((k, F))
-        self.b_ = np.zeros(k)
-        rng = np.random.default_rng(self.seed)
-        n = X.shape[0]
-        batch = min(self.hp["batch_size"], n)
-        lr0 = self.hp["learning_rate"]
-        self.loss_history_ = [self._objective(X, y_local)]
-        for epoch in range(self.hp["epochs"]):
-            lr = lr0 / (1.0 + 0.05 * epoch)
-            order = rng.permutation(n)
-            shuffled = _Rows.of(X[order])  # one row copy per epoch; batches are its slices
-            for start in range(0, n, batch):
-                stop = min(start + batch, n)
-                self._step(shuffled.block(start, stop), y_local[order[start:stop]], lr)
-            loss = self._objective(X, y_local)
-            self.loss_history_.append(loss)
-            prev = self.loss_history_[-2]
-            if abs(prev - loss) < _REL_TOL * max(1.0, abs(prev)):
-                break
-        # after training, so its arithmetic is untouched: see MultinomialNB._fit
-        self.W_ = np.asfortranarray(self.W_)
+        l2 = self.hp["l2"]
+
+        def objective(theta):
+            # theta is b, then W.T in C order, the operand scipy's sparse product reads in place
+            W = theta[k:].reshape(F, k).T
+            loss, grad_W, grad_b = self._loss_grad(W, theta[:k], X, y_local, l2)
+            return loss, np.concatenate((grad_b, grad_W.T.ravel()))
+
+        theta = _lbfgs(objective, np.zeros(k + k * F))
+        self.b_ = theta[:k]
+        self.W_ = theta[k:].reshape(F, k).T  # Fortran order: see MultinomialNB._fit
 
     def predict_scores(self, fm):
         return softmax(self._coerce(fm) @ self.W_.T + self.b_, axis=1)
@@ -379,51 +369,20 @@ class _MiniBatchLinear(TrainedModel):
         return model
 
 
-class SoftmaxRegression(_MiniBatchLinear):
-    """Multiclass logistic regression via mini-batch SGD on the softmax loss."""
+class SoftmaxRegression(_LinearModel):
+    """Multiclass logistic regression: full-batch L-BFGS on the mean softmax
+    cross-entropy plus an L2 penalty (``softmax_xent_loss_grad``)."""
 
-    def _objective(self, X, y_local):
-        probs = softmax(X @ self.W_.T + self.b_, axis=1)
-        return _xent_loss(probs, y_local, self.W_, self.hp["l2"])
-
-    def _step(self, batch, yb, lr):
-        delta = _xent_delta(softmax(batch.times(self.W_) + self.b_, axis=1), yb)
-        self.W_ -= lr * (batch.t_times(delta) + self.hp["l2"] * self.W_)
-        self.b_ -= lr * delta.sum(axis=0)
+    _loss_grad = staticmethod(softmax_xent_loss_grad)
 
 
-@functools.cache
-def _sign_table(k):
-    """Row c holds the one-vs-rest targets of class c: +1 at column c, -1
-    elsewhere. Built once per class count and read-only, since it is shared."""
-    table = 2.0 * np.eye(k) - 1.0
-    table.flags.writeable = False
-    return table
+class LinearSVMOvR(_LinearModel):
+    """One-vs-rest linear SVM: full-batch L-BFGS on the squared hinge plus an
+    L2 penalty (``squared_hinge_loss_grad``), all classes in one solve. Scores
+    softmax-normalize the margins, so ensembles can average them with the
+    probabilistic kinds."""
 
-
-class LinearSVMOvR(_MiniBatchLinear):
-    """One-vs-rest linear SVM trained by hinge subgradient descent.
-
-    Per class c the objective is 0.5*l2*||w_c||^2 + mean hinge(1 - y_c * f_c);
-    prediction is argmax of margins, and scores softmax-normalize the margins
-    so ensembles can average them with the probabilistic kinds.
-    """
-
-    def _objective(self, X, y_local):
-        margins = X @ self.W_.T + self.b_
-        Y = _sign_table(len(self.classes_))[y_local]
-        hinge = np.maximum(0.0, 1.0 - Y * margins).mean(axis=0).sum()
-        return float(hinge + 0.5 * self.hp["l2"] * np.sum(self.W_ * self.W_))
-
-    def _step(self, batch, yb, lr):
-        nb = len(yb)
-        margins = batch.times(self.W_) + self.b_
-        Y = _sign_table(len(self.classes_))[yb]
-        active = (1.0 - Y * margins > 0).astype(float) * Y  # (nb, k)
-        gW = -batch.t_times(active) / nb + self.hp["l2"] * self.W_
-        gb = -active.sum(axis=0) / nb
-        self.W_ -= lr * gW
-        self.b_ -= lr * gb
+    _loss_grad = staticmethod(squared_hinge_loss_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +822,7 @@ def model_from_dict(payload: dict) -> TrainedModel:
         raise ValueError("model payload has no dictionary fingerprint")
     head = (
         payload["kind"],
-        payload["hp"],
+        validate_hp(payload["kind"], payload["hp"]),
         payload["seed"],
         np.asarray(payload["classes"], dtype=np.int64),
         payload["n_features"],

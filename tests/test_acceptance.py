@@ -290,8 +290,8 @@ def test_06_every_learner_fits_the_separable_toy():
     fm = FeatureMatrix(X=X, y=y, fingerprint="toy", scheme="count_x_weight")
     hp_by_kind = {
         "multinomial_nb": {"alpha": 1.0},
-        "logistic_regression": {"learning_rate": 0.1, "l2": 1e-5, "epochs": 80, "batch_size": 16},
-        "linear_svm": {"learning_rate": 0.05, "l2": 1e-5, "epochs": 80, "batch_size": 16},
+        "logistic_regression": {"l2": 1e-5},
+        "linear_svm": {"l2": 1e-5},
         "random_forest": {
             "n_trees": 10,
             "max_depth": 8,

@@ -78,9 +78,9 @@ def brute_force_best_score(lb, size):
 
 class TestCandidateConfig:
     def test_hp_normalized_with_defaults(self):
-        config = CandidateConfig(kind="logistic_regression", hp={"learning_rate": 0.2})
-        assert config.hp["epochs"] == DEFAULT_HP["logistic_regression"]["epochs"]
-        assert config.hp["learning_rate"] == 0.2
+        config = CandidateConfig(kind="random_forest", hp={"n_trees": 20})
+        assert config.hp["max_depth"] == DEFAULT_HP["random_forest"]["max_depth"]
+        assert config.hp["n_trees"] == 20
 
     def test_invalid_hp_rejected_at_construction(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -486,9 +486,16 @@ class TestFitFinalAndSerialization:
             (lambda d: d.pop("fingerprint"), "no fingerprint"),
             (lambda d: d["members"][0].update(multiplicity=0), "multiplicity below 1"),
             (lambda d: d["members"][0]["model"].update(fingerprint=""), "fingerprint"),
+            (lambda d: d["members"][0].pop("model"), "member has no model"),
+            (lambda d: d["members"][0].pop("multiplicity"), "member has no multiplicity"),
+            (lambda d: d["members"][0].update(multiplicity=1.5), "1.5 is not an integer"),
+            (lambda d: d["members"][0].update(multiplicity="2"), "'2' is not an integer"),
+            (lambda d: d["members"][0].update(multiplicity=True), "True is not an integer"),
         ],
         ids=["empty-members", "no-members", "no-fingerprint", "zero-multiplicity",
-             "member-without-fingerprint"],
+             "member-without-fingerprint", "member-without-model",
+             "member-without-multiplicity", "fractional-multiplicity", "string-multiplicity",
+             "boolean-multiplicity"],
     )
     def test_load_rejects_a_malformed_container(self, tmp_path, change, match):
         _, _, ensemble = self._pipeline()

@@ -173,6 +173,24 @@ class TestExtract:
         custom = self._phrases(custom_out)
         assert "fine" not in custom and "the" in custom
 
+    def test_stoplist_with_no_stopwords_exits_2_before_any_work(
+        self, planted_csv, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_work)
+        stopfile = tmp_path / "stop.txt"
+        stopfile.write_text("fine\n", encoding="utf-8")
+        out = tmp_path / "dict.tsv"
+        code = main(["extract", "--data", planted_csv, "--no-stopwords",
+                     "--stoplist", str(stopfile), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "stoplist" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, train_run):

@@ -372,12 +372,7 @@ class TestTopNgrams:
 
     def test_linear_model_ranks_planted_words_first(self):
         dictionary, fm = _two_word_fixture()
-        model = train(
-            "logistic_regression",
-            {"learning_rate": 0.1, "l2": 1e-4, "epochs": 60, "batch_size": 16},
-            fm,
-            seed=0,
-        )
+        model = train("logistic_regression", {"l2": 1e-4}, fm, seed=0)
         tops = top_ngrams_per_class(solo(model), dictionary, k=1, training=fm)
         assert tops["positive"] == ["good"]
         assert tops["negative"] == ["bad"]

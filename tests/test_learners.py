@@ -17,12 +17,12 @@ from sentigram.learners import (
     MultinomialNB,
     RandomForest,
     _one_vs_best_rest,
-    _Rows,
     default_hp,
     model_from_dict,
     model_to_dict,
     sample_hp,
     softmax_xent_loss_grad,
+    squared_hinge_loss_grad,
     train,
     validate_hp,
 )
@@ -61,8 +61,6 @@ def fast_hp(kind):
     hp = default_hp(kind)
     if kind == "random_forest":
         hp.update(n_trees=10, max_depth=8)
-    if kind in ("logistic_regression", "linear_svm"):
-        hp.update(epochs=80)
     return hp
 
 
@@ -73,9 +71,9 @@ class TestHyperparameterSpace:
         assert DEFAULT_HP["multinomial_nb"]["alpha"] == 1.0
 
     def test_validate_fills_missing_values(self):
-        full = validate_hp("logistic_regression", {"learning_rate": 0.2})
-        assert full["learning_rate"] == 0.2
-        assert full["epochs"] == DEFAULT_HP["logistic_regression"]["epochs"]
+        full = validate_hp("random_forest", {"n_trees": 20})
+        assert full["n_trees"] == 20
+        assert full["max_depth"] == DEFAULT_HP["random_forest"]["max_depth"]
 
     def test_validate_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown hyperparameters"):
@@ -84,12 +82,12 @@ class TestHyperparameterSpace:
     def test_validate_range_checks(self):
         with pytest.raises(ValueError, match="alpha"):
             validate_hp("multinomial_nb", {"alpha": 100.0})
-        with pytest.raises(ValueError, match="epochs"):
-            validate_hp("linear_svm", {"epochs": 5})
-        with pytest.raises(ValueError, match="epochs"):
-            validate_hp("linear_svm", {"epochs": 20.5})
-        with pytest.raises(ValueError, match="batch_size"):
-            validate_hp("linear_svm", {"batch_size": 7})
+        with pytest.raises(ValueError, match="l2"):
+            validate_hp("linear_svm", {"l2": 1.0})
+        with pytest.raises(ValueError, match="n_trees"):
+            validate_hp("random_forest", {"n_trees": 5})
+        with pytest.raises(ValueError, match="n_trees"):
+            validate_hp("random_forest", {"n_trees": 20.5})
         with pytest.raises(ValueError, match="feature_fraction"):
             validate_hp("random_forest", {"feature_fraction": 0.3})
 
@@ -167,48 +165,46 @@ class TestMultinomialNB:
         )
 
 
-class TestSoftmaxGradient:
-    def _fixture(self, sparse):
-        rng = np.random.default_rng(51)
-        n, F, k = 12, 5, 3
-        X = rng.normal(size=(n, F))
-        X[rng.random((n, F)) < 0.3] = 0.0
-        if sparse:
-            X = sp.csr_matrix(X)
-        W = rng.normal(scale=0.5, size=(k, F))
-        b = rng.normal(scale=0.5, size=k)
-        y = rng.integers(0, k, size=n)
-        return W, b, X, y
+def central_differences(loss_grad, W, b, X, y, l2, h=1e-6):
+    """The gradients of ``loss_grad``'s loss in W and in b by central finite differences."""
+    theta = np.concatenate((W.ravel(), b))
 
+    def loss(t):
+        return loss_grad(t[: W.size].reshape(W.shape), t[W.size :], X, y, l2)[0]
+
+    fd = np.zeros_like(theta)
+    for i in range(theta.size):
+        step = np.zeros_like(theta)
+        step[i] = h
+        fd[i] = (loss(theta + step) - loss(theta - step)) / (2 * h)
+    return fd[: W.size].reshape(W.shape), fd[W.size :]
+
+
+def gradient_fixture(sparse):
+    rng = np.random.default_rng(51)
+    n, F, k = 12, 5, 3
+    X = rng.normal(size=(n, F))
+    X[rng.random((n, F)) < 0.3] = 0.0
+    if sparse:
+        X = sp.csr_matrix(X)
+    W = rng.normal(scale=0.5, size=(k, F))
+    b = rng.normal(scale=0.5, size=k)
+    y = rng.integers(0, k, size=n)
+    return W, b, X, y
+
+
+class TestSoftmaxGradient:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_gradient_matches_central_finite_differences(self, sparse):
-        W, b, X, y = self._fixture(sparse)
+        W, b, X, y = gradient_fixture(sparse)
         l2 = 0.01
         loss, gW, gb = softmax_xent_loss_grad(W, b, X, y, l2)
-        h = 1e-6
-        fd_W = np.zeros_like(W)
-        for i in range(W.shape[0]):
-            for j in range(W.shape[1]):
-                Wp, Wm = W.copy(), W.copy()
-                Wp[i, j] += h
-                Wm[i, j] -= h
-                lp = softmax_xent_loss_grad(Wp, b, X, y, l2)[0]
-                lm = softmax_xent_loss_grad(Wm, b, X, y, l2)[0]
-                fd_W[i, j] = (lp - lm) / (2 * h)
+        fd_W, fd_b = central_differences(softmax_xent_loss_grad, W, b, X, y, l2)
         np.testing.assert_allclose(gW, fd_W, rtol=1e-5, atol=1e-8)
-        fd_b = np.zeros_like(b)
-        for i in range(len(b)):
-            bp, bm = b.copy(), b.copy()
-            bp[i] += h
-            bm[i] -= h
-            fd_b[i] = (
-                softmax_xent_loss_grad(W, bp, X, y, l2)[0]
-                - softmax_xent_loss_grad(W, bm, X, y, l2)[0]
-            ) / (2 * h)
         np.testing.assert_allclose(gb, fd_b, rtol=1e-5, atol=1e-8)
 
     def test_sparse_and_dense_agree_exactly_on_loss(self):
-        W, b, X, y = self._fixture(sparse=False)
+        W, b, X, y = gradient_fixture(sparse=False)
         loss_d, gW_d, gb_d = softmax_xent_loss_grad(W, b, X, y, 0.01)
         loss_s, gW_s, gb_s = softmax_xent_loss_grad(W, b, sp.csr_matrix(X), y, 0.01)
         assert loss_d == pytest.approx(loss_s, abs=1e-12)
@@ -223,81 +219,60 @@ class TestSoftmaxGradient:
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
 
+class TestSquaredHingeGradient:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_gradient_matches_central_finite_differences(self, sparse):
+        W, b, X, y = gradient_fixture(sparse)
+        margins = X @ W.T + b
+        Y = np.where(np.arange(3) == y[:, None], 1.0, -1.0)
+        assert 0 < np.sum(Y * margins < 1) < Y.size  # rows on both sides of the hinge
+        l2 = 0.01
+        loss, gW, gb = squared_hinge_loss_grad(W, b, X, y, l2)
+        slack = np.maximum(0.0, 1.0 - Y * margins)
+        assert loss == pytest.approx(np.sum(slack**2) / len(y) + 0.005 * np.sum(W**2), abs=1e-12)
+        fd_W, fd_b = central_differences(squared_hinge_loss_grad, W, b, X, y, l2)
+        np.testing.assert_allclose(gW, fd_W, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(gb, fd_b, rtol=1e-5, atol=1e-8)
+
+
+LINEAR_OBJECTIVES = {
+    "logistic_regression": softmax_xent_loss_grad,
+    "linear_svm": squared_hinge_loss_grad,
+}
+
+
 class TestLinearTraining:
-    @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm"])
-    def test_loss_history_starts_at_initial_objective_and_improves(self, kind):
-        fm = separable_matrix()
-        model = train(kind, fast_hp(kind), fm, seed=3)
-        assert len(model.loss_history_) >= 2
-        assert model.loss_history_[-1] < model.loss_history_[0]
-        if kind == "logistic_regression":
-            assert model.loss_history_[0] == pytest.approx(math.log(3), abs=1e-12)
-
-    def test_early_stop_before_epoch_budget_on_plateau(self):
-        # all-zero features with balanced labels make W=0 a stationary point,
-        # so the objective cannot move and the epoch loop must break early
-        fm = FeatureMatrix(
-            X=sp.csr_matrix((4, 2)),
-            y=np.asarray([0, 1, 0, 1]),
-            fingerprint=FP,
-            scheme="count",
-        )
-        hp = {"learning_rate": 0.001, "epochs": 200, "batch_size": 16, "l2": 1e-7}
-        model = train("logistic_regression", hp, fm, seed=0)
-        assert len(model.loss_history_) - 1 < 200  # epochs actually run
-
-    def test_svm_objective_matches_reported_history(self):
-        fm = separable_matrix()
-        model = train("linear_svm", fast_hp("linear_svm"), fm, seed=1)
+    @pytest.mark.parametrize("kind", LINEAR_OBJECTIVES)
+    def test_fit_ends_at_a_stationary_point(self, kind):
+        fm = separable_matrix(noise=1.5, seed=6)
+        model = train(kind, fast_hp(kind), fm, seed=0)
         y_local = np.searchsorted(model.classes_, fm.y)
-        assert model._objective(fm.X, y_local) == pytest.approx(
-            model.loss_history_[-1], abs=1e-12
+        loss_grad = LINEAR_OBJECTIVES[kind]
+        l2 = model.hp["l2"]
+        # the largest gradient entry: above 0.1 at the starting point, below 1e-3 at the fit
+        _, gW, gb = loss_grad(np.zeros_like(model.W_), np.zeros(3), fm.X, y_local, l2)
+        assert max(np.abs(gW).max(), np.abs(gb).max()) > 0.1
+        _, gW, gb = loss_grad(model.W_, model.b_, fm.X, y_local, l2)
+        assert max(np.abs(gW).max(), np.abs(gb).max()) < 1e-3
+
+    @pytest.mark.parametrize("kind", LINEAR_OBJECTIVES)
+    def test_fit_on_zero_features_predicts(self, kind):
+        # only the biases can move; class 0 holds half the rows and wins
+        fm = FeatureMatrix(
+            X=sp.csr_matrix((4, 0)), y=np.asarray([0, 1, 0, 2]), fingerprint=FP, scheme="count"
         )
+        model = train(kind, {}, fm)
+        assert model.W_.shape == (3, 0)
+        np.testing.assert_array_equal(model.predict(fm), [0, 0, 0, 0])
+        np.testing.assert_allclose(model.predict_scores(fm).sum(axis=1), 1.0)
 
-
-class TestMiniBatchStep:
-    """Each batch is a slice of the epoch's permuted rows; its products and
-    steps equal scipy's on ``X[idx]``, bit for bit."""
-
-    def _fixture(self):
-        rng = np.random.default_rng(57)
-        n, F, k = 20, 9, 3
-        dense = rng.normal(size=(n, F)) * (rng.random((n, F)) < 0.4)
-        dense[3] = 0.0  # an all-zero row
-        y = rng.integers(0, k, size=n)
-        y[:k] = np.arange(k)
-        return sp.csr_matrix(dense), y, rng.normal(size=(k, F)), rng.normal(size=k)
-
-    def test_block_products_equal_scipy_on_the_same_rows(self):
-        X, y, W, _ = self._fixture()
-        order = np.random.default_rng(0).permutation(X.shape[0])
-        shuffled = _Rows.of(X[order])
-        D = np.random.default_rng(1).normal(size=(X.shape[0], W.shape[0]))
-        for start, stop in ((0, 7), (7, 14), (14, 20)):
-            idx = order[start:stop]
-            block = shuffled.block(start, stop)
-            np.testing.assert_array_equal(block.times(W), X[idx] @ W.T)
-            Db = D[start:stop]
-            np.testing.assert_array_equal(block.t_times(Db), (X[idx].T @ Db).T)
-
-    @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm"])
-    def test_step_descends_the_scipy_gradient(self, kind):
-        X, y, W, b = self._fixture()
-        model = train(kind, fast_hp(kind), FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count"))
-        l2, lr, nb = model.hp["l2"], 0.3, 8
-        Xb, yb = X[:nb], y[:nb]  # holds the all-zero row 3
-        model.W_, model.b_ = W.copy(), b.copy()
-        model._step(_Rows.of(X).block(0, nb), yb, lr)
-        if kind == "logistic_regression":
-            _, gW, gb = softmax_xent_loss_grad(W, b, Xb, yb, l2)
-        else:
-            Y = -np.ones((nb, len(b)))
-            Y[np.arange(nb), yb] = 1.0
-            active = (1.0 - Y * (Xb @ W.T + b) > 0).astype(float) * Y
-            gW = -(Xb.T @ active).T / nb + l2 * W
-            gb = -active.sum(axis=0) / nb
-        np.testing.assert_array_equal(model.W_, W - lr * gW)
-        np.testing.assert_array_equal(model.b_, b - lr * gb)
+    @pytest.mark.parametrize("kind", LINEAR_OBJECTIVES)
+    def test_fit_is_bit_identical_across_runs_and_seeds(self, kind):
+        fm = separable_matrix(noise=1.5, seed=6)
+        a, b, c = (train(kind, fast_hp(kind), fm, seed=seed) for seed in (0, 0, 9))
+        for other in (b, c):
+            np.testing.assert_array_equal(other.W_, a.W_)
+            np.testing.assert_array_equal(other.b_, a.b_)
 
 
 class TestSharedPredictContract:
@@ -813,6 +788,22 @@ class TestSerialization:
         del payload["fingerprint"]
         with pytest.raises(ValueError, match="fingerprint"):
             model_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "hp, match",
+        [
+            (
+                {"learning_rate": 0.05, "l2": 1e-4, "epochs": 60, "batch_size": 32},
+                r"\['batch_size', 'epochs', 'learning_rate'\]",
+            ),
+            ({"l2": 5.0}, r"linear_svm\.l2=5\.0 outside"),
+        ],
+        ids=["mini-batch-era-hp", "out-of-range-l2"],
+    )
+    def test_payload_with_invalid_hp_rejected(self, hp, match):
+        payload = model_to_dict(train("linear_svm", {}, separable_matrix(seed=18)))
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(json.loads(json.dumps({**payload, "hp": hp})))
 
     def test_unknown_kind_rejected_on_load(self):
         payload = model_to_dict(train("multinomial_nb", {}, separable_matrix(seed=16)))
