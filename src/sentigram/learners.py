@@ -230,7 +230,11 @@ class MultinomialNB(TrainedModel):
         self.feature_log_prob_ = np.asfortranarray(log_prob)
 
     def _log_posterior(self, fm):
-        Xc = self._coerce(fm).maximum(0)
+        # clamp a copy's values in place: a negative entry stays as an
+        # explicit zero, which adds 0 * log p = -0.0 and changes no score bit
+        Xc = self._coerce(fm).tocsr(copy=True)
+        Xc.sum_duplicates()  # a duplicate entry's values are summed, then clamped
+        np.maximum(Xc.data, 0, out=Xc.data)
         return Xc @ self.feature_log_prob_.T + self.class_log_prior_
 
     def predict_scores(self, fm):
@@ -481,8 +485,25 @@ class _NodeTable(NamedTuple):
         return cls(used, column, threshold, right, leaf, depth)
 
     def gather(self, X):
-        """The dense (n, len(used)) block of X's ``used`` columns."""
-        return X.tocsr()[:, self.used].toarray()
+        """The dense (n, len(used)) block of X's ``used`` columns.
+
+        Each stored entry is scattered through a column map (a column's
+        position in ``used``, -1 for columns no split reads), which is
+        cheaper than scipy's column indexing; duplicate entries are summed
+        first, as a dense conversion would sum them.
+        """
+        X = X.tocsr()
+        if not X.has_canonical_format:
+            X = X.copy()
+            X.sum_duplicates()
+        position = np.full(X.shape[1], -1)
+        position[self.used] = np.arange(len(self.used))
+        at = position[X.indices]
+        kept = at >= 0
+        rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+        dense = np.zeros((X.shape[0], len(self.used)))
+        dense[rows[kept], at[kept]] = X.data[kept]
+        return dense
 
     def leaves(self, dense, trees):
         """Each row's leaf in each of ``trees`` (tree indices, which are also

@@ -22,9 +22,23 @@ array: each level's n-grams are integer keys counted with numpy sorts, and
 
 A dictionary is prefix-closed: every (n-1)-prefix of an entry is an entry.
 The build guarantees it (an n-gram is counted only where its prefix
-survived) and ``import_dictionary`` checks it. So the dictionary finds its
-own phrases in a document (``phrase_counts``) with its feature index alone,
-growing each window one token at a time until the first miss.
+survived) and ``import_dictionary`` checks it. So every window of a document
+that is an entry grows, one token at a time, through entries only, and the
+first miss ends it. The dictionary finds its own phrases in two ways:
+
+    phrase_counts        one document: grow each window over the feature
+                         index, hashing one token tuple per step;
+    batch_phrase_counts  many documents: the same growth on integer ids,
+                         level by level over the whole batch at once.
+
+The second walks a step table built once per dictionary, built or
+re-imported alike. Every token of an entry gets an id >= 1 (0 stands for an
+unknown token and for a document's end); each id has its unigram's column,
+if any; and every entry p is one sorted integer key, (column of p[:-1] + 1,
+id of p[-1]), with the empty prefix as column -1, mapped to p's column.
+Level 1 reads each known token's unigram column; level n extends each
+window that survived level n-1 by its next token with one ``searchsorted``
+over the keys.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +90,7 @@ class NGramDictionary:
     the entries' TSV lines in that order, so it hashes content only and an
     exported dictionary re-imports with the same fingerprint. Matrices and
     models carry it to verify they were produced against this dictionary.
-    ``entries`` must be prefix-closed, or ``phrase_counts`` misses phrases.
+    ``entries`` must be prefix-closed: both phrase lookups rely on it.
     """
 
     corpus_size: int | None  # None for dictionaries re-imported from TSV
@@ -92,6 +107,28 @@ class NGramDictionary:
             [self.entries[p].weight for p in self.feature_order], dtype=np.float64
         )
         self.weights.flags.writeable = False
+        # the step table: by prefix closure, every token of an entry is the
+        # last token of one of its prefixes, so the last tokens name them all
+        index = self.feature_index
+        ids = {t: i for i, t in enumerate(dict.fromkeys(p[-1] for p in self.feature_order), 1)}
+        self._token_ids: dict[str, int] = ids
+        self._radix = len(ids) + 1
+        # level 1 needs no search: each token id's unigram column, -1 if none
+        self._unigram_cols: np.ndarray = np.array(
+            [-1, *(index.get((t,), -1) for t in ids)], dtype=np.int64
+        )
+        keys = np.fromiter(
+            (
+                (index[p[:-1]] + 1 if len(p) > 1 else 0) * self._radix + ids[p[-1]]
+                for p in self.feature_order
+            ),
+            dtype=np.int64,
+            count=len(self.feature_order),
+        )
+        order = np.argsort(keys)
+        # a key above every real one, with no column, keeps each search in range
+        self._step_keys: np.ndarray = np.append(keys[order], np.iinfo(np.int64).max)
+        self._step_cols: np.ndarray = np.append(order, -1)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -114,6 +151,55 @@ class NGramDictionary:
                     break
                 counts[col] = counts.get(col, 0) + 1
         return counts
+
+    def batch_phrase_counts(self, token_docs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Occurrences of dictionary phrases in a sequence of token sequences,
+        as ``(rows, cols, counts)`` int64 arrays sorted by row, then column.
+
+        The batch becomes one id buffer with a 0 after each document, so no
+        window runs past its document's end. Level 1 looks up every known
+        token; level n extends the windows that survived level n-1 by the id
+        after them, all in one ``searchsorted``, until none survives. The
+        counts equal ``phrase_counts`` applied to each document.
+        """
+        lengths = np.fromiter(map(len, token_docs), dtype=np.int64, count=len(token_docs))
+        ends = np.cumsum(lengths + 1) - 1  # the position of each document's 0
+        get = self._token_ids.get
+        ids = np.fromiter(
+            chain.from_iterable(chain(map(get, doc, repeat(0)), (0,)) for doc in token_docs),
+            dtype=np.int64,
+            count=int(lengths.sum()) + len(lengths),
+        )
+        width = len(self.feature_order)
+        # each occurrence as one cell, row * width + column
+        cells = [np.zeros(0, dtype=np.int64)]
+        start = np.flatnonzero(ids)
+        col = self._unigram_cols[ids[start]]
+        n = 1
+        while True:
+            hit = col >= 0
+            start, col = start[hit], col[hit]
+            if not len(start):
+                break
+            cells.append(np.searchsorted(ends, start) * width + col)
+            col = self._step(col, ids[start + n])  # level n + 1
+            n += 1
+        cells, counts = np.unique(np.concatenate(cells), return_counts=True)
+        return cells // width, cells % width, counts  # width 0: no cells
+
+    def _step(self, prefix: np.ndarray, token: np.ndarray) -> np.ndarray:
+        """The column of each prefix column's extension by a token id; -1
+        where no entry is that extension.
+
+        The keys are searched in ascending order: each binary search then
+        starts where the last one ended. For 20k lookups into features-wide's
+        15.6k keys that is about five times faster than in text order.
+        """
+        key = (prefix + 1) * self._radix + token
+        order = np.argsort(key)
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(self._step_keys, key[order])
+        return np.where(self._step_keys[at] == key, self._step_cols[at], -1)
 
     def _compute_fingerprint(self) -> str:
         lines = "".join(_entry_line(self.entries[p]) + "\n" for p in self.feature_order)

@@ -14,7 +14,7 @@ from sentigram.features import (
     smote_oversample,
     vectorize,
 )
-from sentigram.ngrams import build_dictionary
+from sentigram.ngrams import build_dictionary, export_dictionary, import_dictionary
 
 
 def toy_dictionary():
@@ -186,6 +186,106 @@ class TestVectorize:
                 np.testing.assert_array_equal(X.indices, indices)
                 np.testing.assert_array_equal(X.indptr, indptr)
                 assert X.shape == (len(docs), len(d))
+
+
+def assert_same_csr(X, data, indices, indptr):
+    np.testing.assert_array_equal(X.data, data)
+    np.testing.assert_array_equal(X.indices, indices)
+    np.testing.assert_array_equal(X.indptr, indptr)
+
+
+def built_and_reimported(docs, tmp_path, **kw):
+    d = build_dictionary(docs, **kw)
+    path = tmp_path / "dictionary.tsv"
+    export_dictionary(d, path)
+    return d, import_dictionary(path)
+
+
+class TestBatchCounting:
+    """A batch is counted in array passes over integer ids, one document by
+    the walk; both must give the reference's matrix bit for bit."""
+
+    def _assert_paths_agree(self, docs, d):
+        for scheme in SCHEMES:
+            reference = reference_vectorize(docs, d, scheme)
+            batch = vectorize(docs, d, scheme)
+            assert batch.shape == (len(docs), len(d))
+            assert_same_csr(batch, *reference)
+            if docs:
+                singles = sp.vstack([vectorize([doc], d, scheme) for doc in docs], format="csr")
+                assert_same_csr(singles, *reference)
+
+    def test_random_corpora_with_built_and_reimported_dictionaries(self, tmp_path):
+        rng = np.random.default_rng(17)
+        vocab = [f"t{i}" for i in range(7)]
+        for max_n in (1, 3, 10):
+            docs = [
+                [vocab[i] for i in rng.integers(0, 7, size=rng.integers(0, 25))]
+                for _ in range(20)
+            ]
+            docs[3] = []  # empty
+            docs[7] = ["unseen", "words"]  # unknown tokens only
+            held_out = [
+                [vocab[i] for i in rng.integers(0, 7, size=rng.integers(0, 25))] + ["unseen"]
+                for _ in range(10)
+            ]
+            for d in built_and_reimported(docs, tmp_path, max_n=max_n, min_freq=2):
+                self._assert_paths_agree(docs, d)
+                self._assert_paths_agree(held_out, d)
+
+    def test_long_repeats_at_max_n_ten(self, tmp_path):
+        # runs of one token overlap themselves at every length up to max_n
+        docs = [["a"] * 14, ["a"] * 9 + ["b"], ["b", "a", "a", "a"], ["a"] * 12]
+        for d in built_and_reimported(docs, tmp_path, max_n=10, min_freq=2):
+            assert max(map(len, d.entries)) == 10
+            self._assert_paths_agree(docs, d)
+            self._assert_paths_agree([["a"] * 30, [], ["a"]], d)
+
+    def test_windows_end_at_their_document(self):
+        d = build_dictionary([["x", "y", "z"], ["x", "y", "z"]], max_n=3, min_freq=2)
+        # "x y z" occurs only if counted across the two documents' boundary
+        docs = [["x"], ["y", "z"], ["x", "y"], ["z"], [], ["x", "y", "z"]]
+        X = vectorize(docs, d, "count")
+        assert X[:, d.feature_index[("x", "y", "z")]].toarray().ravel().tolist() == [
+            0, 0, 0, 0, 0, 1
+        ]
+        self._assert_paths_agree(docs, d)
+
+    def test_reimported_dictionary_without_suffix_unigrams(self, tmp_path):
+        # prefix-closed, but "y" and "z" have no line of their own: only the
+        # prefix column leads to them
+        path = tmp_path / "dictionary.tsv"
+        path.write_text(
+            "phrase\tn\tfreq\tdf_phrase\tdf_terms\tweight\n"
+            "x\t1\t4\t3\t3\t0.5\n"
+            "x y\t2\t3\t2\t3\t1.25\n"
+            "x y z\t3\t2\t2\t2\t-0.75\n",
+            encoding="utf-8",
+        )
+        d = import_dictionary(path)
+        docs = [["y", "x", "y", "z"], ["y", "z"], ["x", "x", "y"], ["z", "x"]]
+        self._assert_paths_agree(docs, d)
+        assert vectorize(docs, d, "count").sum(axis=1).A1.tolist() == [3, 0, 3, 1]
+
+    def test_empty_batch_and_zero_phrase_dictionary(self):
+        d, docs = toy_dictionary()
+        empty = vectorize([], d, "count")
+        assert empty.shape == (0, len(d)) and empty.indptr.tolist() == [0]
+        nothing = build_dictionary(docs, max_n=2, min_freq=99)
+        assert len(nothing) == 0
+        self._assert_paths_agree(docs, nothing)
+        assert vectorize(docs, nothing).shape == (len(docs), 0)
+        assert vectorize([], nothing).shape == (0, 0)
+
+    def test_counts_arrays_are_sorted_by_row_then_column(self):
+        d, docs = toy_dictionary()
+        rows, cols, counts = d.batch_phrase_counts(docs + [["work", "good", "work"]])
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        assert cells == sorted(set(cells))
+        for row, tokens in enumerate(docs):
+            walked = d.phrase_counts(tokens)
+            mine = {c: n for r, c, n in zip(rows, cols, counts) if r == row}
+            assert mine == walked
 
 
 class TestFeatureMatrix:

@@ -731,6 +731,71 @@ class TestPackedForest:
         assert margins.shape == (3, 5) and np.all(margins == -np.inf)
 
 
+def non_canonical_csr(rng, n=40, F=30):
+    """Random CSR rows with negative values and explicit zeros; the second
+    copy stores each row's entries in reverse, some split into two
+    duplicate entries whose values sum to the original."""
+    dense = rng.normal(0.0, 2.0, size=(n, F))
+    dense[rng.random((n, F)) < 0.7] = 0.0
+    canonical = sp.csr_matrix(dense)
+    canonical.data[rng.random(canonical.nnz) < 0.1] = 0.0  # explicit zeros
+    indices, data, indptr = [], [], [0]
+    for r in range(n):
+        lo, hi = canonical.indptr[r], canonical.indptr[r + 1]
+        for col, value in zip(canonical.indices[lo:hi][::-1], canonical.data[lo:hi][::-1]):
+            if rng.random() < 0.3:
+                part = rng.normal()
+                indices += [col, col]
+                data += [part, value - part]
+            else:
+                indices.append(col)
+                data.append(value)
+        indptr.append(len(indices))
+    shuffled = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(n, F))
+    assert not shuffled.has_canonical_format
+    return canonical, shuffled
+
+
+class TestPredictShortcuts:
+    """The forest's column gather and NB's clamp equal the scipy expressions
+    they replace, on canonical and on non-canonical rows."""
+
+    def test_gather_equals_column_indexing(self):
+        rng = np.random.default_rng(5)
+        fm = separable_matrix(n_per_class=20, seed=5)
+        X = sp.hstack([fm.X, sp.random(60, 24, density=0.3, random_state=5)], format="csr")
+        wide = FeatureMatrix(X=X, y=fm.y, fingerprint=FP, scheme="count")
+        table = train("random_forest", fast_hp("random_forest"), wide, seed=0)._table
+        for used in (table.used, np.array([0, 3, 17, 29]), np.array([], dtype=np.int64)):
+            table = table._replace(used=used)
+            for rows in non_canonical_csr(rng):
+                expected = rows.tocsr()[:, used].toarray()
+                unchanged = rows.copy()
+                got = table.gather(rows)
+                assert got.shape == expected.shape
+                np.testing.assert_array_equal(got, expected)
+                assert_same_storage(rows, unchanged)
+
+    def test_nb_clamp_equals_maximum(self):
+        rng = np.random.default_rng(6)
+        fm = separable_matrix(n_per_class=10, seed=6, classes=(0, 1, 2))
+        model = train("multinomial_nb", default_hp("multinomial_nb"), fm, seed=0)
+        for _ in range(5):
+            for rows in non_canonical_csr(rng, F=fm.n_features):
+                expected = (
+                    rows.copy().maximum(0) @ model.feature_log_prob_.T + model.class_log_prior_
+                )
+                unchanged = rows.copy()
+                got = model._log_posterior(probe_matrix(rows))
+                np.testing.assert_array_equal(got, expected)
+                assert_same_storage(rows, unchanged)
+
+
+def assert_same_storage(a, b):
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_predicts_zero_rows_and_an_all_zero_row(kind):
     fm = separable_matrix(seed=15)

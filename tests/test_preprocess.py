@@ -51,6 +51,19 @@ class TestCleanText:
     def test_non_ascii_letters_removed(self):
         assert tokenize(clean_text("café")) == ["caf"]
 
+    def test_equals_the_regex_it_replaced(self):
+        # one space per code point: fullwidth digits, combining marks, lone
+        # surrogates, astral characters, NUL and other control characters
+        tricky = "１２Ａｚ\u0301\u0308\ud800\udfff\U0001f600\x00\x01\x1f\x7f\x80\xa0\xff\u2028"
+        alphabet = string.printable + tricky + "éßλ漢"
+        rng = np.random.default_rng(11)
+        for n in range(300):
+            raw = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=n % 60))
+            assert clean_text(raw) == re.sub(r"[^A-Za-z0-9]", " ", raw), repr(raw)
+        assert clean_text(tricky) == " " * len(tricky)
+        every_byte = "".join(map(chr, range(256)))
+        assert clean_text(every_byte) == re.sub(r"[^A-Za-z0-9]", " ", every_byte)
+
 
 class TestTokenize:
     def test_lowercases_and_splits(self):

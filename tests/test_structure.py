@@ -72,10 +72,12 @@ def test_evaluation_does_not_name_learner_internals():
 
 
 def test_phrase_lookup_lives_in_ngrams():
-    # features scales the counts NGramDictionary.phrase_counts finds; it does
-    # not walk the dictionary's index itself
+    # features scales the counts the dictionary's own counting methods find;
+    # it walks neither the feature index nor the step table itself
     lookup = {"feature_index", "max_n", "phrase_prefixes", "_dictionary_counts"}
-    assert _names("features.py") & lookup == set()
+    steps = {"_token_ids", "_radix", "_unigram_cols", "_step_keys", "_step_cols", "_step"}
+    assert _names("features.py") & (lookup | steps) == set()
+    assert {"phrase_counts", "batch_phrase_counts"} <= _names("features.py")
 
 
 def _calls(module):
