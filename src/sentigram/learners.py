@@ -214,7 +214,7 @@ class MultinomialNB(TrainedModel):
 
     def _fit(self, X, y):
         alpha = self.hp["alpha"]
-        Xc = X.maximum(0)
+        Xc = _nonnegative(X)
         k, F = len(self.classes_), self.n_features_
         log_prob = np.empty((k, F))
         prior = np.empty(k)
@@ -230,12 +230,7 @@ class MultinomialNB(TrainedModel):
         self.feature_log_prob_ = np.asfortranarray(log_prob)
 
     def _log_posterior(self, fm):
-        # clamp a copy's values in place: a negative entry stays as an
-        # explicit zero, which adds 0 * log p = -0.0 and changes no score bit
-        Xc = self._coerce(fm).tocsr(copy=True)
-        Xc.sum_duplicates()  # a duplicate entry's values are summed, then clamped
-        np.maximum(Xc.data, 0, out=Xc.data)
-        return Xc @ self.feature_log_prob_.T + self.class_log_prior_
+        return _nonnegative(self._coerce(fm)) @ self.feature_log_prob_.T + self.class_log_prior_
 
     def predict_scores(self, fm):
         return softmax(self._log_posterior(fm), axis=1)
@@ -255,6 +250,27 @@ class MultinomialNB(TrainedModel):
         model.class_log_prior_ = np.asarray(params["class_log_prior"])
         model.feature_log_prob_ = np.asfortranarray(params["feature_log_prob"])
         return model
+
+
+def _canonical_csr(X, copy=False):
+    """X as CSR with sorted column indices and each duplicate entry summed
+    into one. The caller's matrix is never changed: it is returned as is only
+    when it is already canonical and ``copy`` is false."""
+    X = X.tocsr(copy=copy)
+    if not X.has_canonical_format:
+        X = X if copy else X.copy()
+        X.sum_duplicates()
+    return X
+
+
+def _nonnegative(X):
+    """A canonical copy of X with negative values clamped to 0. A clamped
+    entry stays stored as an explicit zero, which adds 0 * log p = -0.0 to a
+    posterior and 0.0 to a count and so changes no bit; duplicate entries are
+    summed before the clamp, as a dense matrix would be."""
+    Xc = _canonical_csr(X, copy=True)
+    np.maximum(Xc.data, 0, out=Xc.data)
+    return Xc
 
 
 def softmax_xent_loss_grad(W, b, X, y_local, l2):
@@ -441,17 +457,30 @@ class _NodeTable(NamedTuple):
     child and has a NaN threshold, so ``value <= threshold`` is false there
     and a row that reached a leaf stays on it. ``depth`` is the deepest
     leaf's depth: that many routing passes take every row to its leaf.
+
+    An unstored value is 0, so a row that stores nothing in the columns a
+    tree splits on follows that tree's zero path, the one an all-zero row
+    takes: ``zero_leaf`` is the class of its leaf, per tree. ``position``
+    maps each of the model's features to its place in ``used`` (-1 for a
+    feature no split reads), and column ``c``'s distinct splitting trees are
+    ``tree_ids[tree_ptr[c]:tree_ptr[c + 1]]``, ascending: together they name
+    the (row, tree) pairs a row's stored entries can divert from the zero
+    path.
     """
 
     used: np.ndarray
+    position: np.ndarray
     column: np.ndarray
     threshold: np.ndarray
     right: np.ndarray
     leaf: np.ndarray
     depth: int
+    zero_leaf: np.ndarray
+    tree_ptr: np.ndarray
+    tree_ids: np.ndarray
 
     @classmethod
-    def pack(cls, trees, classes):
+    def pack(cls, trees, classes, n_features):
         def joined(name):
             return np.concatenate([getattr(t, name) for t in trees])
 
@@ -470,8 +499,10 @@ class _NodeTable(NamedTuple):
         packed[joined("right")[split] + offset] = pair + 1
         at = packed[split]
         used = np.unique(feature[split])
+        position = np.full(n_features, -1)
+        position[used] = np.arange(len(used))
         column = np.zeros(n_nodes, dtype=np.int64)
-        column[at] = np.searchsorted(used, feature[split])
+        column[at] = position[feature[split]]
         threshold = np.full(n_nodes, np.nan)
         threshold[at] = joined("threshold")[split]
         right = np.arange(n_nodes)
@@ -482,37 +513,54 @@ class _NodeTable(NamedTuple):
         while (level := level[leaf[level] < 0]).size:  # the split nodes at this depth
             depth += 1
             level = np.concatenate((right[level] - 1, right[level]))
-        return cls(used, column, threshold, right, leaf, depth)
+        zero = np.arange(n_trees)
+        for _ in range(depth):
+            zero = right[zero] - (0.0 <= threshold[zero])
+        # each (column, tree) pair with a split, once, column-major
+        splits = np.unique(column[at] * n_trees + np.repeat(np.arange(n_trees), sizes)[split])
+        tree_ptr = np.zeros(len(used) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(splits // n_trees, minlength=len(used)), out=tree_ptr[1:])
+        return cls(used, position, column, threshold, right, leaf, depth,
+                   leaf[zero], tree_ptr, splits % n_trees)
 
     def gather(self, X):
-        """The dense (n, len(used)) block of X's ``used`` columns.
+        """The dense (n, len(used)) block of X's ``used`` columns, and the
+        row and ``used`` position of each stored entry that lands in it.
 
-        Each stored entry is scattered through a column map (a column's
-        position in ``used``, -1 for columns no split reads), which is
-        cheaper than scipy's column indexing; duplicate entries are summed
-        first, as a dense conversion would sum them.
+        Each stored entry is scattered through ``position``, which is cheaper
+        than scipy's column indexing; duplicate entries are summed first, as
+        a dense conversion would sum them.
         """
-        X = X.tocsr()
-        if not X.has_canonical_format:
-            X = X.copy()
-            X.sum_duplicates()
-        position = np.full(X.shape[1], -1)
-        position[self.used] = np.arange(len(self.used))
-        at = position[X.indices]
+        X = _canonical_csr(X)
+        at = self.position[X.indices]
         kept = at >= 0
-        rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+        rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))[kept]
+        at = at[kept]
         dense = np.zeros((X.shape[0], len(self.used)))
-        dense[rows[kept], at[kept]] = X.data[kept]
-        return dense
+        dense[rows, at] = X.data[kept]
+        return dense, rows, at
 
-    def leaves(self, dense, trees):
-        """Each row's leaf in each of ``trees`` (tree indices, which are also
-        their roots' ids), as an (n, len(trees)) array of positions in
-        ``classes_``; ``dense`` is a ``gather`` block."""
-        n, width = dense.shape
-        node = np.broadcast_to(np.asarray(trees), (n, len(trees)))
+    def touched(self, rows, at, n):
+        """The (row, tree) pairs, as two flat arrays in row-major order, whose
+        row stores an entry in a column the tree splits on: ``rows`` and
+        ``at`` are ``gather``'s entries of an n-row block. Every other pair
+        ends on its tree's ``zero_leaf``."""
+        n_trees = len(self.zero_leaf)
+        first = self.tree_ptr[at]
+        count = self.tree_ptr[at + 1] - first
+        slot = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+        hit = np.zeros(n * n_trees, dtype=bool)
+        hit[np.repeat(rows, count) * n_trees + self.tree_ids[slot]] = True
+        pairs = np.flatnonzero(hit)
+        return pairs // n_trees, pairs % n_trees
+
+    def route(self, dense, rows, trees):
+        """The leaf class reached by each (row, tree) pair, given as two flat
+        arrays of rows of ``dense`` (a ``gather`` block) and tree indices,
+        which are also the trees' roots' ids."""
         flat = dense.ravel()
-        row_start = np.arange(n)[:, None] * width
+        row_start = rows * dense.shape[1]
+        node = trees
         for _ in range(self.depth):
             goes_left = flat[row_start + self.column[node]] <= self.threshold[node]
             node = self.right[node] - goes_left
@@ -549,9 +597,14 @@ class RandomForest(TrainedModel):
     ``trees_`` is what a model saves; after fitting or loading, the trees are
     also packed into one ``_NodeTable`` (the flattened traversal of Asadi,
     Lin and de Vries, TKDE 2014). Prediction gathers the dense block of the
-    forest's split features once, moves an (n, n_trees) array of node ids
-    one level down per pass for all trees at once, and counts the leaves'
-    votes with one ``bincount``. Vote fractions over trees are the scores.
+    forest's split features once. A row that stores nothing in the columns
+    a tree splits on ends on that tree's zero-path leaf, so, as in
+    QuickScorer (Lucchese et al., SIGIR 2015), tests whose outcome is
+    already known are skipped: every row starts from the zero-path votes,
+    and only the (row, tree) pairs a stored entry touches move one level
+    down per pass, all trees at once, their votes moved from the zero-path
+    leaf to the leaf they reach. Vote counts are integers, so the scores,
+    vote fractions over trees, do not depend on the order of the counting.
     """
 
     def _fit(self, X, y):
@@ -570,7 +623,7 @@ class RandomForest(TrainedModel):
             self._grow(tree, bins, y_local, k, np.sort(rows), 0, m, rng)
             tree.freeze()
             self.trees_.append(tree)
-        self._table = _NodeTable.pack(self.trees_, self.classes_)
+        self._table = _NodeTable.pack(self.trees_, self.classes_, self.n_features_)
 
     def _features_per_node(self):
         frac = self.hp["feature_fraction"]
@@ -589,10 +642,7 @@ class RandomForest(TrainedModel):
         code <= c  <=>  v <= thresholds[c]; training-time splits on codes and
         prediction-time splits on raw values therefore route identically.
         """
-        X = X.tocsr()
-        if not X.has_canonical_format:
-            X = X.copy()
-            X.sum_duplicates()
+        X = _canonical_csr(X)
         n, F = X.shape
         stored = np.bincount(X.indices, minlength=F)
         unstored = np.nonzero((stored > 0) & (stored < n))[0]
@@ -714,14 +764,20 @@ class RandomForest(TrainedModel):
 
     def predict_scores(self, fm):
         table = self._table
-        leaves = table.leaves(table.gather(self._coerce(fm)), np.arange(len(self.trees_)))
-        return self._votes(leaves) / len(self.trees_)
+        dense, rows, at = table.gather(self._coerce(fm))
+        n, k = dense.shape[0], len(self.classes_)
+        votes = np.tile(np.bincount(table.zero_leaf, minlength=k), (n, 1))
+        rows, trees = table.touched(rows, at, n)
+        if rows.size:
+            # move each touched pair's vote from its zero-path leaf to the leaf it reaches
+            votes += self._votes(rows, table.route(dense, rows, trees), n)
+            votes -= self._votes(rows, table.zero_leaf[trees], n)
+        return votes / len(self.trees_)
 
-    def _votes(self, leaves):
-        """Integer vote counts per row and class from an (n, trees) leaf array."""
-        n, k = leaves.shape[0], len(self.classes_)
-        bins = np.arange(n)[:, None] * k + leaves
-        return np.bincount(bins.ravel(), minlength=n * k).reshape(n, k)
+    def _votes(self, rows, leaves, n):
+        """Integer vote counts per row and class, (n, k), from flat (row, leaf class) pairs."""
+        k = len(self.classes_)
+        return np.bincount(rows * k + leaves, minlength=n * k).reshape(n, k)
 
     def permutation_importance(
         self, training: FeatureMatrix, seed: int = 0, max_rows: int = 256
@@ -740,21 +796,25 @@ class RandomForest(TrainedModel):
             X, y = X[keep], y[keep]
         table = self._table
         n = X.shape[0]
-        trees_with = [[] for _ in table.used]
-        for t, tree in enumerate(self.trees_):
-            for j in np.searchsorted(table.used, np.unique(tree.feature[tree.feature >= 0])):
-                trees_with[j].append(t)
-        dense = table.gather(X)
-        base_leaves = table.leaves(dense, np.arange(len(self.trees_)))
-        votes_base = self._votes(base_leaves)
+        dense = table.gather(X)[0]
+        rows = np.repeat(np.arange(n), len(self.trees_))
+        base_leaves = table.route(dense, rows, np.tile(np.arange(len(self.trees_)), n))
+        votes_base = self._votes(rows, base_leaves, n)
+        base_leaves = base_leaves.reshape(n, len(self.trees_))
         base = np.mean(self.classes_[np.argmax(votes_base, axis=1)] == y)
         importance = np.zeros(self.n_features_)
-        for j, trees in enumerate(trees_with):  # ascending feature order, as the draws assume
+        for j in range(len(table.used)):  # ascending feature order, as the draws assume
+            trees = table.tree_ids[table.tree_ptr[j] : table.tree_ptr[j + 1]]
+            rows = np.repeat(np.arange(n), len(trees))
             col = dense[:, j].copy()
             dense[:, j] = col[rng.permutation(n)]
-            leaves = table.leaves(dense, trees)
+            leaves = table.route(dense, rows, np.tile(trees, n))
             dense[:, j] = col
-            votes = votes_base - self._votes(base_leaves[:, trees]) + self._votes(leaves)
+            votes = (
+                votes_base
+                - self._votes(rows, base_leaves[:, trees].ravel(), n)
+                + self._votes(rows, leaves, n)
+            )
             acc = np.mean(self.classes_[np.argmax(votes, axis=1)] == y)
             importance[table.used[j]] = base - acc
         return importance
@@ -796,7 +856,7 @@ class RandomForest(TrainedModel):
             tree.left, tree.right, tree.leaf_class = spec["left"], spec["right"], spec["leaf_class"]
             tree.freeze()
             model.trees_.append(tree)
-        model._table = _NodeTable.pack(model.trees_, model.classes_)
+        model._table = _NodeTable.pack(model.trees_, model.classes_, model.n_features_)
         return model
 
 

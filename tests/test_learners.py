@@ -16,6 +16,7 @@ from sentigram.learners import (
     ConstantModel,
     MultinomialNB,
     RandomForest,
+    _NodeTable,
     _one_vs_best_rest,
     default_hp,
     model_from_dict,
@@ -731,6 +732,89 @@ class TestPackedForest:
         assert margins.shape == (3, 5) and np.all(margins == -np.inf)
 
 
+class TestZeroPathRouting:
+    """Rows start from each tree's zero-path vote; only the (row, tree) pairs
+    a stored entry can divert are routed, and the scores equal the per-tree
+    walk's."""
+
+    @staticmethod
+    def _forest(seed=40, n=80, F=30):
+        """A deep forest on signed rows, two of its trees replaced by single
+        leaves through the loading path, and non-canonical probe rows: some
+        duplicate, explicit zeros, negative values and three rows storing
+        nothing."""
+        rng = np.random.default_rng(seed)
+        train_rows, _ = non_canonical_csr(rng, n=n, F=F)
+        y = (train_rows[:, :3].toarray().sum(axis=1) > 0).astype(np.int64) + 2 * (
+            np.arange(n) % 3 == 0
+        )
+        fm = FeatureMatrix(X=train_rows, y=y, fingerprint=FP, scheme="count")
+        hp = {"n_trees": 12, "max_depth": 20, "feature_fraction": 0.5, "bootstrap": True}
+        payload = model_to_dict(train("random_forest", hp, fm, seed=seed))
+        for t, cls in ((3, 0), (7, 2)):
+            payload["params"]["trees"][t] = {
+                "feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                "leaf_class": [cls],
+            }
+        model = model_from_dict(payload)
+        _, shuffled = non_canonical_csr(rng, n=40, F=F)
+        probe = sp.vstack([shuffled, sp.csr_matrix((3, F))], format="csr")
+        assert not probe.has_canonical_format and np.diff(probe.indptr)[-3:].sum() == 0
+        return model, probe
+
+    def test_batch_scores_equal_the_per_tree_walk(self):
+        model, probe = self._forest()
+        split_thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees_])
+        assert np.any(split_thresholds < 0)  # zero goes right at these nodes
+        assert sum(len(t.feature) == 1 for t in model.trees_) == 2
+        assert model._table.depth > 3
+        empty = sp.csr_matrix((0, probe.shape[1]))
+        for forest in (model, json_roundtrip(model)):
+            votes = reference_votes(forest, probe.toarray())
+            np.testing.assert_array_equal(forest.predict_scores(probe_matrix(probe)), votes / 12)
+            np.testing.assert_array_equal(
+                forest.predict(probe_matrix(probe)), forest.classes_[np.argmax(votes, axis=1)]
+            )
+            assert forest.predict_scores(probe_matrix(empty)).shape == (0, len(forest.classes_))
+
+    def test_batch_scores_equal_row_by_row_scores(self):
+        model, probe = self._forest(seed=41)
+        batch = model.predict_scores(probe_matrix(probe))
+        for i in range(probe.shape[0]):
+            single = model.predict_scores(probe_matrix(probe[i]))
+            np.testing.assert_array_equal(single, batch[i : i + 1])
+
+    def test_only_pairs_a_stored_entry_touches_are_routed(self, monkeypatch):
+        model, probe = self._forest(seed=42)
+        routed = []
+        route = _NodeTable.route
+
+        def spy(table, dense, rows, trees):
+            routed.append(len(rows))
+            return route(table, dense, rows, trees)
+
+        monkeypatch.setattr(_NodeTable, "route", spy)
+        F = probe.shape[1]
+        zero_rows = sp.csr_matrix((5, F))
+        np.testing.assert_array_equal(
+            model.predict_scores(probe_matrix(zero_rows)),
+            reference_votes(model, zero_rows.toarray()) / 12,
+        )
+        assert sum(routed) == 0
+        splitting = [{int(f) for f in t.feature if f >= 0} for t in model.trees_]
+        trees_per_feature = [sum(f in s for s in splitting) for f in range(F)]
+        assert 0 in trees_per_feature and max(trees_per_feature) > 1
+        for f, k in enumerate(trees_per_feature):
+            for value in (-1.5, 0.0, 2.0):
+                routed.clear()
+                row = sp.csr_matrix(([value], ([0], [f])), shape=(1, F))
+                np.testing.assert_array_equal(
+                    model.predict_scores(probe_matrix(row)),
+                    reference_votes(model, row.toarray()) / 12,
+                )
+                assert sum(routed) == k
+
+
 def non_canonical_csr(rng, n=40, F=30):
     """Random CSR rows with negative values and explicit zeros; the second
     copy stores each row's entries in reverse, some split into two
@@ -767,13 +851,23 @@ class TestPredictShortcuts:
         wide = FeatureMatrix(X=X, y=fm.y, fingerprint=FP, scheme="count")
         table = train("random_forest", fast_hp("random_forest"), wide, seed=0)._table
         for used in (table.used, np.array([0, 3, 17, 29]), np.array([], dtype=np.int64)):
-            table = table._replace(used=used)
+            position = np.full(X.shape[1], -1)
+            position[used] = np.arange(len(used))
+            table = table._replace(used=used, position=position)
             for rows in non_canonical_csr(rng):
-                expected = rows.tocsr()[:, used].toarray()
+                expected = rows.tocsr()[:, used]
+                expected.sum_duplicates()  # on a copy: column indexing made one
                 unchanged = rows.copy()
-                got = table.gather(rows)
+                got, entry_rows, at = table.gather(rows)
                 assert got.shape == expected.shape
-                np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(got, expected.toarray())
+                # each stored entry in a used column once, explicit zeros included
+                coo = expected.tocoo()
+                np.testing.assert_array_equal(
+                    np.lexsort((at, entry_rows)), np.arange(len(at))
+                )
+                np.testing.assert_array_equal(entry_rows, coo.row[np.lexsort((coo.col, coo.row))])
+                np.testing.assert_array_equal(at, coo.col[np.lexsort((coo.col, coo.row))])
                 assert_same_storage(rows, unchanged)
 
     def test_nb_clamp_equals_maximum(self):
@@ -794,6 +888,22 @@ class TestPredictShortcuts:
 def assert_same_storage(a, b):
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_entry_point_changes_its_input_rows(kind):
+    rng = np.random.default_rng(7)
+    _, rows = non_canonical_csr(rng)
+    fm = FeatureMatrix(X=rows, y=np.arange(rows.shape[0]) % 3, fingerprint=FP, scheme="count")
+    unchanged = rows.copy()
+    model = train(kind, fast_hp(kind), fm, seed=0)
+    assert_same_storage(rows, unchanged)
+    model.predict_scores(fm)
+    model.class_margins(fm)
+    if kind == "random_forest":
+        model.permutation_importance(fm, max_rows=16)
+    assert_same_storage(rows, unchanged)
+    assert not rows.has_canonical_format
 
 
 @pytest.mark.parametrize("kind", KINDS)
