@@ -426,7 +426,13 @@ def load_ensemble(path) -> TrainedEnsemble:
             raise ValueError(f"{path}: ensemble member multiplicity {count!r} is not an integer")
         if count < 1:
             raise ValueError(f"{path}: ensemble member multiplicity below 1")
-        members.append(EnsembleMember(model=model_from_dict(spec["model"]), multiplicity=count))
+        model = model_from_dict(spec["model"])
+        if model.fingerprint != payload["fingerprint"]:
+            raise ValueError(
+                f"{path}: ensemble member {len(members)} ({model.kind}) has dictionary "
+                f"fingerprint {model.fingerprint!r}, not the container's {payload['fingerprint']!r}"
+            )
+        members.append(EnsembleMember(model=model, multiplicity=count))
     return TrainedEnsemble(
         members=members,
         fingerprint=payload["fingerprint"],

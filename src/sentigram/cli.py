@@ -1,5 +1,10 @@
 """Command-line front end: stats, extract, train, evaluate, report.
 
+Each run-setting flag stores its value under its RunConfig field's name, and
+extract, train and evaluate build their RunConfig from those before reading
+the CSV. extract takes only the dictionary's flags; only evaluate takes the
+protocol flags (--rounds, --test-fraction, --top-ngrams).
+
 All artifacts land in --out-dir (or $SENTIGRAM_OUT, or ./runs). Runs are
 deterministic given --seed whenever --max-candidates is used instead of a
 wall-clock budget; reports embed the full run configuration.
@@ -17,16 +22,10 @@ import numpy as np
 
 from .automl import DEFAULT_BUDGET_SECONDS, ensemble_to_dict, export_leaderboard
 from .corpus import LABELS, DatasetError, class_distribution, load_dataset
-from .evaluation import (
-    RunConfig,
-    check_stoplist_choice,
-    fit_pipeline,
-    render_report,
-    run_experiment,
-)
+from .evaluation import RunConfig, fit_pipeline, render_report, run_experiment
 from .features import SCHEMES
 from .ngrams import build_dictionary, export_dictionary
-from .preprocess import load_stoplist, preprocess
+from .preprocess import preprocess
 
 ENV_OUT_DIR = "SENTIGRAM_OUT"
 # top-level keys of the payload evaluate writes to report.json
@@ -35,6 +34,7 @@ _REPORT_KEYS = ("config", "dataset", "rounds", "averaged", "pooled", "top_ngrams
 _PROTOCOL_FIELDS = ("rounds", "test_fraction", "top_ngrams")
 # the flags' defaults, so a flag left out runs with RunConfig's own value
 _DEFAULTS = RunConfig()
+_FIELDS = _DEFAULTS.to_dict().keys()
 
 
 def _default_out_dir() -> str:
@@ -53,13 +53,21 @@ def _add_config_arg(g, flag: str, text: str, **kwargs) -> None:
     )
 
 
-def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
+def _add_pipeline_args(p: argparse.ArgumentParser, with_scheme: bool) -> None:
     g = p.add_argument_group("feature pipeline")
     _add_config_arg(g, "--max-n", "longest phrase length")
     _add_config_arg(g, "--min-freq", "drop phrases occurring fewer times")
-    _add_config_arg(g, "--scheme", "feature value scheme", choices=SCHEMES)
-    g.add_argument("--no-stopwords", action="store_true", help="skip stop-word removal")
-    g.add_argument("--stoplist", default=None, help="custom stop-word file (one word per line)")
+    if with_scheme:
+        _add_config_arg(g, "--scheme", "feature value scheme", choices=SCHEMES)
+    g.add_argument(
+        "--no-stopwords", dest="use_stopwords", action="store_false", help="skip stop-word removal"
+    )
+    g.add_argument(
+        "--stoplist",
+        dest="stoplist_path",
+        metavar="STOPLIST",
+        help="custom stop-word file (one word per line)",
+    )
 
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
@@ -82,7 +90,9 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
         ),
     )
     _add_config_arg(g, "--ensemble-size", "greedy selection steps")
-    g.add_argument("--no-smote", action="store_true", help="disable minority oversampling")
+    g.add_argument(
+        "--no-smote", dest="smote", action="store_false", help="disable minority oversampling"
+    )
     _add_config_arg(g, "--smote-k", "SMOTE neighbour count")
     _add_config_arg(g, "--seed", "master random seed")
 
@@ -101,9 +111,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _stoplist_from(args):
-    check_stoplist_choice(not args.no_stopwords, args.stoplist)
-    return load_stoplist(args.stoplist) if not args.no_stopwords else None
+def _run_config(args) -> RunConfig:
+    """RunConfig from the command's flags, each stored under its field's name;
+    a field the command has no flag for keeps its default."""
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in _FIELDS})
 
 
 def cmd_stats(args) -> int:
@@ -118,10 +129,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    stoplist = _stoplist_from(args)
+    cfg = _run_config(args)
+    stoplist = cfg.stoplist()
     ds = load_dataset(args.data)
     tokens = [preprocess(text, stoplist) for text in ds.texts()]
-    dictionary = build_dictionary(tokens, max_n=args.max_n, min_freq=args.min_freq)
+    dictionary = build_dictionary(tokens, max_n=cfg.max_n, min_freq=cfg.min_freq)
     out = Path(args.out) if args.out else _out_dir(args) / "dictionary.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
     export_dictionary(dictionary, out)
@@ -129,31 +141,10 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _run_config(args, **protocol) -> RunConfig:
-    """RunConfig from the pipeline and search flags; ``protocol`` sets the rest."""
-    return RunConfig(
-        seed=args.seed,
-        use_stopwords=not args.no_stopwords,
-        stoplist_path=args.stoplist,
-        max_n=args.max_n,
-        min_freq=args.min_freq,
-        scheme=args.scheme,
-        smote=not args.no_smote,
-        smote_k=args.smote_k,
-        folds=args.folds,
-        max_candidates=args.max_candidates,
-        budget_seconds=args.budget_seconds,
-        ensemble_size=args.ensemble_size,
-        **protocol,
-    )
-
-
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     ds = load_dataset(args.data)
-    fitted = fit_pipeline(
-        ds.documents, cfg, _stoplist_from(args), np.random.SeedSequence(cfg.seed)
-    )
+    fitted = fit_pipeline(ds.documents, cfg, np.random.SeedSequence(cfg.seed))
     lb, ensemble = fitted.leaderboard, fitted.ensemble
 
     out = _out_dir(args)
@@ -173,7 +164,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _run_config(args, **{f: getattr(args, f) for f in _PROTOCOL_FIELDS})
+    cfg = _run_config(args)
     ds = load_dataset(args.data)
     report = run_experiment(ds, cfg)
     report.payload["dataset"]["path"] = args.data
@@ -214,21 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="build and export the phrase dictionary")
     _add_data_arg(p)
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, with_scheme=False)
     p.add_argument("--out", default=None, help="dictionary TSV path (default OUT_DIR/dictionary.tsv)")
     _add_out_dir(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="search, select, and refit an ensemble on all data")
     _add_data_arg(p)
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, with_scheme=True)
     _add_search_args(p)
     _add_out_dir(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="run the multi-round evaluation protocol")
     _add_data_arg(p)
-    _add_pipeline_args(p)
+    _add_pipeline_args(p, with_scheme=True)
     _add_search_args(p)
     g = p.add_argument_group("evaluation protocol")
     _add_config_arg(g, "--rounds", "stratified rounds")

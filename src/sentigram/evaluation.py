@@ -34,12 +34,6 @@ from .preprocess import load_stoplist, preprocess
 # experiment driver
 
 
-def check_stoplist_choice(use_stopwords: bool, stoplist_path: str | None) -> None:
-    """Refuse a custom stop list when stop-word removal is off."""
-    if not use_stopwords and stoplist_path is not None:
-        raise ValueError("stoplist_path is set but use_stopwords is off: set one or the other")
-
-
 @dataclass
 class RunConfig:
     """Everything a run depends on; echoed verbatim into every report."""
@@ -66,7 +60,8 @@ class RunConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        check_stoplist_choice(self.use_stopwords, self.stoplist_path)
+        if not self.use_stopwords and self.stoplist_path is not None:
+            raise ValueError("stoplist_path is set but use_stopwords is off: set one or the other")
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 1 <= self.max_n <= MAX_NGRAM_LEN:
@@ -89,6 +84,10 @@ class RunConfig:
             raise ValueError(f"budget_seconds must be positive, got {self.budget_seconds}")
         if self.max_candidates is not None and self.budget_seconds is not None:
             raise ValueError("set max_candidates or budget_seconds, not both")
+
+    def stoplist(self) -> frozenset[str] | None:
+        """The stop words this run removes: None when removal is off."""
+        return load_stoplist(self.stoplist_path) if self.use_stopwords else None
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -153,15 +152,15 @@ class FittedPipeline:
 def fit_pipeline(
     docs: Sequence[LabeledDocument],
     cfg: RunConfig,
-    stoplist: frozenset[str] | None,
     seeds: np.random.SeedSequence,
 ) -> FittedPipeline:
-    """Preprocess, build the phrase dictionary, vectorize, optionally
+    """Preprocess with ``cfg.stoplist()``, build the phrase dictionary, vectorize, optionally
     oversample, search, select and refit an ensemble, all on ``docs`` alone.
 
     ``seeds`` yields the SMOTE seed and the search seed, in that order.
     """
     smote_seed, search_seed = (int(s) for s in seeds.generate_state(2))
+    stoplist = cfg.stoplist()
     tokens = [preprocess(d.text, stoplist) for d in docs]
     dictionary = build_dictionary(tokens, max_n=cfg.max_n, min_freq=cfg.min_freq)
     training = _feature_matrix(docs, tokens, dictionary, cfg.scheme)
@@ -196,7 +195,6 @@ def run_experiment(ds: LabeledDataset, cfg: RunConfig) -> EvalReport:
     from test rows ever reaches the dictionary, the oversampler, or the
     models.
     """
-    stoplist = load_stoplist(cfg.stoplist_path) if cfg.use_stopwords else None
     plan = stratified_shuffle_splits(
         ds, rounds=cfg.rounds, test_fraction=cfg.test_fraction, seed=cfg.seed
     )
@@ -208,7 +206,7 @@ def run_experiment(ds: LabeledDataset, cfg: RunConfig) -> EvalReport:
     pooled_pred: list[int] = []
     per_round_tops = []
     for r, (train_ids, test_ids) in enumerate(plan.rounds):
-        fitted = fit_pipeline([by_id[i] for i in train_ids], cfg, stoplist, round_seeds[r])
+        fitted = fit_pipeline([by_id[i] for i in train_ids], cfg, round_seeds[r])
         dictionary, lb, selection = fitted.dictionary, fitted.leaderboard, fitted.selection
         fm_test = fitted.featurize([by_id[i] for i in test_ids])
         y_pred = fitted.ensemble.predict(fm_test)

@@ -110,6 +110,8 @@ def validate_hp(kind: str, hp: dict) -> dict:
     full = {**DEFAULT_HP[kind], **hp}
     for name, spec in space.items():
         value, tag = full[name], spec[0]
+        if tag != "choice" and isinstance(value, bool):  # bool is a subclass of int
+            raise ValueError(f"{kind}.{name}={value!r} is a bool, not a number")
         if tag == "log":
             if not (isinstance(value, (int, float)) and spec[1] <= value <= spec[2]):
                 raise ValueError(f"{kind}.{name}={value!r} outside [{spec[1]}, {spec[2]}]")
@@ -118,7 +120,7 @@ def validate_hp(kind: str, hp: dict) -> dict:
             if not (isinstance(value, (int, np.integer)) and spec[1] <= value <= spec[2]):
                 raise ValueError(f"{kind}.{name}={value!r} outside integer [{spec[1]}, {spec[2]}]")
             full[name] = int(value)
-        elif value not in spec[1]:
+        elif not any(value == o and type(value) is type(o) for o in spec[1]):  # 1 == 1.0 == True
             raise ValueError(f"{kind}.{name}={value!r} not in {spec[1]}")
     return full
 

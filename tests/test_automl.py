@@ -491,11 +491,15 @@ class TestFitFinalAndSerialization:
             (lambda d: d["members"][0].update(multiplicity=1.5), "1.5 is not an integer"),
             (lambda d: d["members"][0].update(multiplicity="2"), "'2' is not an integer"),
             (lambda d: d["members"][0].update(multiplicity=True), "True is not an integer"),
+            (
+                lambda d: d["members"][-1]["model"].update(fingerprint="B"),
+                r"member \d+ \(\w+\) has dictionary fingerprint 'B', not the container's",
+            ),
         ],
         ids=["empty-members", "no-members", "no-fingerprint", "zero-multiplicity",
              "member-without-fingerprint", "member-without-model",
              "member-without-multiplicity", "fractional-multiplicity", "string-multiplicity",
-             "boolean-multiplicity"],
+             "boolean-multiplicity", "member-with-another-fingerprint"],
     )
     def test_load_rejects_a_malformed_container(self, tmp_path, change, match):
         _, _, ensemble = self._pipeline()

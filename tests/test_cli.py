@@ -2,6 +2,7 @@
 codes, output-directory resolution, and reproducibility of runs."""
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from sentigram import cli
+from sentigram import cli, evaluation
 from sentigram.automl import load_ensemble
 from sentigram.cli import main
 from sentigram.corpus import LABEL_TO_INDEX, LABELS, load_dataset
@@ -52,6 +53,12 @@ def _run(argv):
     with redirect_stdout(buffer):
         code = main(argv)
     return code, buffer.getvalue()
+
+
+def _phrases(path):
+    """The phrases of an exported dictionary TSV."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return {line.split("\t")[0] for line in lines[1:]}
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +152,6 @@ class TestExtract:
         assert code == 0
         assert (tmp_path / "runs" / "dictionary.tsv").exists()
 
-    @staticmethod
-    def _phrases(path):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        return {line.split("\t")[0] for line in lines[1:]}
-
     def test_stoplist_options_change_the_dictionary(self, tmp_path):
         data = _write_csv(
             tmp_path / "d.csv",
@@ -168,9 +170,9 @@ class TestExtract:
         assert main(["extract", "--data", str(data), "--max-n", "1",
                      "--stoplist", str(stopfile), "--out", str(custom_out)]) == 0
 
-        assert "the" not in self._phrases(default_out)
-        assert {"the", "fine", "app"} <= self._phrases(nostop_out)
-        custom = self._phrases(custom_out)
+        assert "the" not in _phrases(default_out)
+        assert {"the", "fine", "app"} <= _phrases(nostop_out)
+        custom = _phrases(custom_out)
         assert "fine" not in custom and "the" in custom
 
     def test_stoplist_with_no_stopwords_exits_2_before_any_work(
@@ -190,6 +192,109 @@ class TestExtract:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "stoplist" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-n", "0"], ["--max-n", "11"], ["--min-freq", "0"]],
+        ids=["max-n-0", "max-n-11", "min-freq-0"],
+    )
+    def test_bad_setting_exits_2_before_the_csv_is_read(
+        self, flags, planted_csv, tmp_path, monkeypatch, capsys
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_work)
+        out = tmp_path / "dict.tsv"
+        code = main(["extract", "--data", planted_csv, "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert flags[0].lstrip("-").replace("-", "_") in err
+        assert not out.exists()
+
+    def test_scheme_is_a_usage_error(self, planted_csv, tmp_path):
+        # extract writes the dictionary only; no feature values are computed
+        with pytest.raises(SystemExit) as excinfo:
+            main(["extract", "--data", planted_csv, "--scheme", "count",
+                  "--out", str(tmp_path / "dict.tsv")])
+        assert excinfo.value.code == 2
+
+
+class TestStopListSettings:
+    """train and evaluate remove the stop words their flags name."""
+
+    @pytest.fixture(scope="class")
+    def stop_data(self, tmp_path_factory):
+        # "the", "with" and "it" are packaged stop words; the custom list has
+        # none of them and drops two ordinary words instead
+        folder = tmp_path_factory.mktemp("stop")
+        rows = [(f"the {text} with it", label) for text, label in _planted_rows()]
+        stopfile = folder / "stop.txt"
+        stopfile.write_text("app\nphone\n", encoding="utf-8")
+        return str(_write_csv(folder / "d.csv", rows)), str(stopfile)
+
+    _SEARCH = ["--max-n", "1", "--folds", "3", "--max-candidates", "4", "--ensemble-size", "1"]
+
+    def _train(self, data, out_dir, *flags):
+        code, _ = _run(["train", "--data", data, *self._SEARCH, "--out-dir", str(out_dir), *flags])
+        assert code == 0
+        model = json.loads((out_dir / "model.json").read_text(encoding="utf-8"))
+        return _phrases(out_dir / "dictionary.tsv"), model["run_config"]
+
+    def test_train_with_a_custom_stop_list(self, stop_data, tmp_path):
+        data, stopfile = stop_data
+        phrases, echo = self._train(data, tmp_path, "--stoplist", stopfile)
+        assert not phrases & {"app", "phone"}
+        assert {"the", "with", "it"} <= phrases  # the custom list replaces the packaged one
+        assert echo["stoplist_path"] == stopfile and echo["use_stopwords"] is True
+
+    def test_train_without_stop_words_keeps_the_packaged_ones(self, stop_data, tmp_path):
+        data, _ = stop_data
+        phrases, echo = self._train(data, tmp_path, "--no-stopwords")
+        assert {"the", "with", "it", "app", "phone"} <= phrases
+        assert echo["use_stopwords"] is False and echo["stoplist_path"] is None
+
+    def test_train_by_default_drops_the_packaged_stop_words(self, stop_data, tmp_path):
+        data, _ = stop_data
+        phrases, echo = self._train(data, tmp_path)
+        assert not phrases & {"the", "with", "it"} and {"app", "phone"} <= phrases
+        assert echo["use_stopwords"] is True and echo["stoplist_path"] is None
+
+    @pytest.mark.parametrize(
+        "flags, dropped, kept",
+        [
+            (["--stoplist", "STOPFILE"], {"app", "phone"}, {"the", "with", "it"}),
+            (["--no-stopwords"], set(), {"the", "with", "it", "app", "phone"}),
+            ([], {"the", "with", "it"}, {"app", "phone"}),
+        ],
+        ids=["custom-stop-list", "no-stopwords", "default"],
+    )
+    def test_evaluate_builds_every_round_with_the_stop_list(
+        self, flags, dropped, kept, stop_data, tmp_path, monkeypatch
+    ):
+        data, stopfile = stop_data
+        flags = [stopfile if f == "STOPFILE" else f for f in flags]
+        seen = []
+        build = evaluation.build_dictionary
+
+        def spy(tokens, **kwargs):
+            seen.append({t for doc in tokens for t in doc})
+            return build(tokens, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_dictionary", spy)
+        code, _ = _run(
+            ["evaluate", "--data", data, *self._SEARCH, "--rounds", "2",
+             "--test-fraction", "0.25", "--out-dir", str(tmp_path), *flags]
+        )
+        assert code == 0
+        assert len(seen) == 2
+        for words in seen:
+            assert not words & dropped and kept <= words
+        config = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["config"]
+        assert config["use_stopwords"] is ("--no-stopwords" not in flags)
+        assert config["stoplist_path"] == (stopfile if "--stoplist" in flags else None)
 
 
 class TestTrain:
@@ -233,7 +338,7 @@ class TestTrain:
         cfg = RunConfig(
             seed=7, use_stopwords=False, max_n=1, folds=3, max_candidates=4, ensemble_size=2
         )
-        fitted = fit_pipeline(docs, cfg, None, np.random.SeedSequence(cfg.seed))
+        fitted = fit_pipeline(docs, cfg, np.random.SeedSequence(cfg.seed))
         expected = fitted.featurize(docs)
 
         dictionary = import_dictionary(out_dir / "dictionary.tsv")
@@ -467,6 +572,20 @@ def test_flags_left_out_run_with_the_run_config_defaults(command, planted_csv, m
     with pytest.raises(_Stop):
         main([command, "--data", planted_csv])
     assert built == [RunConfig()]
+
+
+def test_flags_store_run_config_fields():
+    # each command's parsed defaults hold one entry per flag, under the flag's dest
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    io_dests = {"command", "func", "data", "out", "out_dir"}
+    expected = {
+        "evaluate": fields,
+        "train": fields - set(cli._PROTOCOL_FIELDS),
+        "extract": {"max_n", "min_freq", "use_stopwords", "stoplist_path"},
+    }
+    for command, config_dests in expected.items():
+        dests = set(vars(cli.build_parser().parse_args([command, "--data", "d.csv"])))
+        assert dests - io_dests == config_dests, command
 
 
 class TestConsoleEntryPoints:

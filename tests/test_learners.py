@@ -980,6 +980,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             model_from_dict(json.loads(json.dumps({**payload, "hp": hp})))
 
+    @pytest.mark.parametrize(
+        "kind, hp, match",
+        [
+            ("multinomial_nb", {"alpha": True}, r"alpha=True is a bool"),
+            ("random_forest", {"min_samples_leaf": True}, r"min_samples_leaf=True is a bool"),
+            ("random_forest", {"bootstrap": 1}, r"bootstrap=1 not in"),
+            ("random_forest", {"feature_fraction": True}, r"feature_fraction=True not in"),
+        ],
+        ids=["bool-alpha", "bool-min-samples-leaf", "int-bootstrap", "bool-feature-fraction"],
+    )
+    def test_payload_with_wrongly_typed_hp_rejected(self, kind, hp, match):
+        # each value equals a valid one (True == 1 == 1.0) but has another type
+        hp_in_range = {"n_trees": 10, "max_depth": 3} if kind == "random_forest" else {}
+        payload = model_to_dict(train(kind, hp_in_range, separable_matrix(seed=19)))
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(json.loads(json.dumps({**payload, "hp": {**payload["hp"], **hp}})))
+
     def test_unknown_kind_rejected_on_load(self):
         payload = model_to_dict(train("multinomial_nb", {}, separable_matrix(seed=16)))
         payload["kind"] = "svm_rbf"

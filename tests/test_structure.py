@@ -80,6 +80,11 @@ def test_phrase_lookup_lives_in_ngrams():
     assert {"phrase_counts", "batch_phrase_counts"} <= _names("features.py")
 
 
+def test_cli_leaves_the_stop_list_to_run_config():
+    # RunConfig.stoplist is the one place a run's stop list is resolved
+    assert "load_stoplist" not in _names("cli.py")
+
+
 def _calls(module):
     """Every call expression in a module as source text, e.g. ``sp.issparse(self.X)``."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
