@@ -95,12 +95,6 @@ def evaluate_candidate(
     if fm.y is None:
         raise ValueError("evaluate_candidate requires labels")
     y = fm.y
-    if len(np.unique(y)) == 1:
-        warnings.warn(
-            "training data contains a single class; cross-validation is degenerate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     assign = fold_assignments(y, folds, fold_seed)
     archive = np.zeros((len(y), len(LABELS)))
     for f in range(folds):
@@ -156,23 +150,6 @@ def _candidate_sequence(seed: int):
             kind = KINDS[int(rng.integers(len(KINDS)))]
             hp = sample_hp(kind, rng)
         yield CandidateConfig(kind=kind, hp=hp, seed=int(rng.integers(2**31 - 1)))
-
-
-def _evaluate_recording(fm, folds, fold_seed, config):
-    """``evaluate_candidate`` plus the warnings it raised, returned rather than shown."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        score, oof = evaluate_candidate(config, fm, folds=folds, fold_seed=fold_seed)
-    return score, oof, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _module_name(filename: str) -> str | None:
-    """The module name warnings.warn gives a warning raised in ``filename``, so
-    that module filters match a re-emitted warning as they match the original."""
-    for name, module in list(sys.modules.items()):
-        if getattr(module, "__file__", None) == filename:
-            return name
-    return None
 
 
 # A pool worker's bound task: set by _init_worker, in the worker process only.
@@ -241,8 +218,9 @@ def search(
     and are submitted in sequence order with the budget checked before each
     submission. Candidates still running at a wall-clock cutoff finish and
     are kept, so the leaderboard is always a prefix of the sequence. Results
-    and warnings (re-emitted in sequence order) do not depend on the worker
-    count.
+    and warnings do not depend on the worker count: a worker returns only a
+    candidate's score and archive, and the input is checked, and warned
+    about, here before the first candidate runs.
     """
     if max_candidates is not None and budget_seconds is not None:
         raise ValueError("set max_candidates or budget_seconds, not both")
@@ -252,10 +230,18 @@ def search(
         raise ValueError("max_candidates must be >= 1")
     if budget_seconds is not None and budget_seconds <= 0:
         raise ValueError("budget_seconds must be positive")
-    if fm.y is not None and len(fm.y) and np.unique(fm.y, return_counts=True)[1].max() < 2:
+    if fm.y is None:
+        raise ValueError("search requires labels")
+    class_sizes = np.unique(fm.y, return_counts=True)[1]
+    if len(class_sizes) and class_sizes.max() < 2:
         raise ValueError(
             "every class has a single training row: fold 0 of the cross-validation "
             "would hold out every row and leave nothing to train on"
+        )
+    if len(class_sizes) == 1:  # attributed to this module, which module= filters match
+        warnings.warn(
+            "training data contains a single class; cross-validation is degenerate",
+            RuntimeWarning,
         )
 
     started = time.monotonic()
@@ -266,7 +252,7 @@ def search(
         return index == 0 or time.monotonic() - started < budget_seconds
 
     workers = min(_usable_cpus(), max_candidates or sys.maxsize)
-    task = partial(_evaluate_recording, fm, folds, seed)
+    task = partial(evaluate_candidate, fm=fm, folds=folds, fold_seed=seed)
     configs = _candidate_sequence(seed)
     submitted: list[tuple[CandidateConfig, Future]] = []
     with _submitter(task, workers) as submit:
@@ -280,15 +266,9 @@ def search(
             future = submit(config)
             submitted.append((config, future))
             in_flight.add(future)
-    # the registry warnings.warn would use here, so "default" shows a warning once
-    registry = globals().setdefault("__warningregistry__", {})
     entries: list[LeaderboardEntry] = []
     for index, (config, future) in enumerate(submitted):
-        score, oof, caught = future.result()
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(
-                message, category, filename, lineno, _module_name(filename), registry
-            )
+        score, oof = future.result()
         entries.append(LeaderboardEntry(config=config, score=score, oof=oof, index=index))
     if len(entries) < len(KINDS):
         warnings.warn(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,6 +63,8 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.use_stopwords and self.stoplist_path is not None:
             raise ValueError("stoplist_path is set but use_stopwords is off: set one or the other")
+        if self.stoplist_path is not None and not Path(self.stoplist_path).is_file():
+            raise ValueError(f"stoplist_path {self.stoplist_path!r} is not a file")
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 1 <= self.max_n <= MAX_NGRAM_LEN:

@@ -93,10 +93,11 @@ class NGramDictionary:
     ``entries`` must be prefix-closed: both phrase lookups rely on it.
     """
 
-    corpus_size: int | None  # None for dictionaries re-imported from TSV
     entries: dict[Phrase, NGramEntry]
-    max_n: int = MAX_NGRAM_LEN
-    min_freq: int = 2
+    # the build's settings: None for dictionaries re-imported from TSV
+    corpus_size: int | None
+    max_n: int | None
+    min_freq: int | None
 
     def __post_init__(self) -> None:
         self.feature_order: tuple[Phrase, ...] = tuple(sorted(self.entries))
@@ -309,8 +310,8 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
     """Re-load an exported dictionary TSV.
 
     The result has the exported dictionary's exact weights and fingerprint.
-    The TSV schema has no corpus-size column, so ``corpus_size`` is None;
-    ``max_n`` and ``min_freq`` are the longest phrase and the lowest freq seen.
+    The TSV schema records none of the build's settings, so ``corpus_size``,
+    ``max_n`` and ``min_freq`` are None.
     The file must be prefix-closed, as every exported dictionary is: a phrase
     whose (n-1)-prefix has no line is rejected.
     """
@@ -319,8 +320,6 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
     if not lines or tuple(lines[0].split("\t")) != DICTIONARY_COLUMNS:
         raise ValueError(f"{path}: not a dictionary TSV (bad header)")
     entries: dict[Phrase, NGramEntry] = {}
-    max_len = 1
-    min_freq_seen = None
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != len(DICTIONARY_COLUMNS):
@@ -337,8 +336,6 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
         if phrase in entries:
             raise ValueError(f"{path}: line {lineno}: duplicate phrase {' '.join(phrase)!r}")
         entries[phrase] = NGramEntry(phrase, freq, dfp, dft, weight)
-        max_len = max(max_len, n)
-        min_freq_seen = freq if min_freq_seen is None else min(min_freq_seen, freq)
     # phrase lookup relies on prefix closure; entries follow the file's lines
     for lineno, phrase in enumerate(entries, start=2):
         if len(phrase) > 1 and phrase[:-1] not in entries:
@@ -346,9 +343,4 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
                 f"{path}: line {lineno}: phrase {' '.join(phrase)!r} has no line "
                 f"for its prefix {' '.join(phrase[:-1])!r}"
             )
-    return NGramDictionary(
-        corpus_size=None,
-        entries=entries,
-        max_n=max(max_len, 1),
-        min_freq=min_freq_seen if min_freq_seen is not None else 2,
-    )
+    return NGramDictionary(corpus_size=None, entries=entries, max_n=None, min_freq=None)

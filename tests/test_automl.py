@@ -158,14 +158,15 @@ class TestEvaluateCandidate:
         assert s1 == s2
         np.testing.assert_array_equal(a1, a2)
 
-    def test_requires_labels_and_warns_on_single_class(self):
+    def test_requires_labels_and_leaves_warning_to_search(self):
         fm = separable_matrix()
         unlabeled = FeatureMatrix(X=fm.X, y=None, fingerprint=FP, scheme="count")
         config = CandidateConfig(kind="multinomial_nb", hp={})
         with pytest.raises(ValueError, match="labels"):
             evaluate_candidate(config, unlabeled)
         single = separable_matrix(classes=(1,), seed=3)
-        with pytest.warns(RuntimeWarning, match="single class"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             evaluate_candidate(config, single, folds=2)
 
 
@@ -310,24 +311,41 @@ class TestParallelSearch:
         # the same candidates as the count-capped search of that length
         assert _entry_keys(lb) == _entry_keys(search(fm, folds=2, seed=1, max_candidates=len(lb)))
 
-    def test_worker_warnings_reach_the_caller(self, pools):
+    def test_single_class_warning_is_given_once_by_the_caller(self, monkeypatch, pools):
         single = separable_matrix(classes=(1,), seed=3)
-        with pytest.warns(RuntimeWarning, match="single class"):
-            lb = search(single, folds=2, seed=0, max_candidates=4)
-        assert len(lb) == 4 and len(pools) == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RuntimeWarning, match="single class"):
+        shown = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(automl, "_usable_cpus", lambda: workers)
+            forked = len(pools)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RuntimeWarning, match="single class"):
+                    search(single, folds=2, seed=0, max_candidates=4)
+            assert len(pools) == forked  # raised before any pool was forked
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")  # shown once per location
+                lb = search(single, folds=2, seed=0, max_candidates=4)
                 search(single, folds=2, seed=0, max_candidates=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")  # shown once per location, as in-process
-            search(single, folds=2, seed=0, max_candidates=4)
-            warnings.filterwarnings("ignore", category=RuntimeWarning, module="sentigram.automl")
-            search(single, folds=2, seed=0, max_candidates=4)
-        assert [str(w.message) for w in caught if "single class" in str(w.message)] == [
-            "training data contains a single class; cross-validation is degenerate"
+                warnings.filterwarnings(
+                    "ignore", category=RuntimeWarning, module="sentigram.automl"
+                )
+                search(single, folds=2, seed=0, max_candidates=4)
+            assert len(lb) == 4
+            shown[workers] = [(str(w.message), w.filename) for w in caught]
+        assert len(pools) == 3  # each two-worker search that ran forked one
+        assert shown[1] == shown[2] == [
+            (
+                "training data contains a single class; cross-validation is degenerate",
+                automl.__file__,
+            )
         ]
-        assert len(pools) == 4
+
+    def test_unlabeled_matrix_is_refused_before_a_pool_is_forked(self, pools):
+        fm = separable_matrix()
+        unlabeled = FeatureMatrix(X=fm.X, y=None, fingerprint=FP, scheme="count")
+        with pytest.raises(ValueError, match="search requires labels"):
+            search(unlabeled, folds=2, seed=0, max_candidates=4)
+        assert pools == []
 
     def test_search_in_a_daemon_process_runs_in_process(self, pools):
         fm = separable_matrix(noise=1.0, seed=6)

@@ -296,6 +296,26 @@ class TestStopListSettings:
         assert config["use_stopwords"] is ("--no-stopwords" not in flags)
         assert config["stoplist_path"] == (stopfile if "--stoplist" in flags else None)
 
+    @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
+    @pytest.mark.parametrize("stoplist", ["missing.txt", "."], ids=["missing", "directory"])
+    def test_a_stop_list_that_is_not_a_file_exits_2_before_the_csv_is_read(
+        self, command, stoplist, tmp_path, monkeypatch, capsys
+    ):
+        # the CSV's bad label would be the error if the CSV were read first
+        data = _write_csv(tmp_path / "bad.csv", [("fine app", "positive"), ("odd app", "maybe")])
+        read = []
+        monkeypatch.setattr(
+            cli, "load_dataset", lambda *args: read.append(args) or load_dataset(*args)
+        )
+        stoplist = str(tmp_path / stoplist)
+        code = main([command, "--data", str(data), "--stoplist", stoplist,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2 and read == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert repr(stoplist) in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, train_run):

@@ -293,6 +293,7 @@ class TestRunConfigAndReport:
             ({"scheme": "tfidf"}, "scheme"),
             ({"seed": -1}, "seed"),
             ({"use_stopwords": False, "stoplist_path": "stop.txt"}, "stoplist_path"),
+            ({"stoplist_path": "no/such/stop.txt"}, "stoplist_path"),
         ],
     )
     def test_rejects_bad_search_settings(self, kwargs, match):

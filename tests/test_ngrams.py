@@ -273,6 +273,16 @@ class TestExportImport:
         export_dictionary(imported, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_import_leaves_the_build_settings_unset(self, tmp_path):
+        # the TSV records no build settings, so none is guessed from its lines
+        d = self._sample_dictionary()
+        first, second = tmp_path / "dict.tsv", tmp_path / "dict2.tsv"
+        export_dictionary(d, first)
+        back = import_dictionary(first)
+        assert (back.corpus_size, back.max_n, back.min_freq) == (None, None, None)
+        export_dictionary(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_import_preserves_statistics(self, tmp_path):
         d = self._sample_dictionary()
         path = tmp_path / "dict.tsv"

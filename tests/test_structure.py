@@ -1,8 +1,8 @@
 """Package structure: imports sit at module level, each submodule is reachable
 as an attribute of the package, the search (automl) does not depend on the
-experiment driver (evaluation), the driver reads learners only through
-their public contract, phrase lookup lives in the dictionary (ngrams), and
-each entry point takes one input form."""
+experiment driver (evaluation) and its workers return results only, the
+driver reads learners only through their public contract, phrase lookup
+lives in the dictionary (ngrams), and each entry point takes one input form."""
 
 import ast
 import importlib
@@ -78,6 +78,13 @@ def test_phrase_lookup_lives_in_ngrams():
     steps = {"_token_ids", "_radix", "_unigram_cols", "_step_keys", "_step_cols", "_step"}
     assert _names("features.py") & (lookup | steps) == set()
     assert {"phrase_counts", "batch_phrase_counts"} <= _names("features.py")
+
+
+def test_search_workers_return_results_only():
+    # the search warns about its input in the caller, so no worker's warnings
+    # need recording, naming and replaying
+    transport = {"catch_warnings", "warn_explicit", "__warningregistry__", "modules"}
+    assert _names("automl.py") & transport == set()
 
 
 def test_cli_leaves_the_stop_list_to_run_config():
