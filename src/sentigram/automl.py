@@ -391,6 +391,8 @@ def ensemble_to_dict(ensemble: TrainedEnsemble) -> dict:
 
 def load_ensemble(path) -> TrainedEnsemble:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: ensemble container is not a JSON object")
     if payload.get("format") != _ENSEMBLE_FORMAT:
         raise ValueError(f"not an ensemble container (format={payload.get('format')!r})")
     for key in ("members", "fingerprint"):
@@ -398,9 +400,13 @@ def load_ensemble(path) -> TrainedEnsemble:
             raise ValueError(f"{path}: ensemble container has no {key}")
     members = []
     for spec in payload["members"]:
+        if not isinstance(spec, dict):
+            raise ValueError(f"{path}: ensemble member {len(members)} is not a JSON object")
         for key in ("model", "multiplicity"):
             if key not in spec:
                 raise ValueError(f"{path}: ensemble member has no {key}")
+        if not isinstance(spec["model"], dict):
+            raise ValueError(f"{path}: ensemble member {len(members)}'s model is not a JSON object")
         count = spec["multiplicity"]
         if type(count) is not int:  # bool is a subclass of int and is refused too
             raise ValueError(f"{path}: ensemble member multiplicity {count!r} is not an integer")

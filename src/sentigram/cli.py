@@ -182,9 +182,14 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise ValueError(f"report file not found: {path}")
     payload = json.loads(path.read_text(encoding="utf-8"))
+    not_a_report = ValueError(f"{path}: not a report.json written by evaluate")
     if not isinstance(payload, dict) or not all(k in payload for k in _REPORT_KEYS):
-        raise ValueError(f"{path}: not a report.json written by evaluate")
-    print(render_report(payload), end="")
+        raise not_a_report
+    try:
+        table = render_report(payload)
+    except (KeyError, TypeError, AttributeError):  # a section lacks a field or has another shape
+        raise not_a_report from None
+    print(table, end="")
     return 0
 
 

@@ -411,40 +411,46 @@ class LinearSVMOvR(_LinearModel):
 # random forest
 
 
-class _Tree:
+class _Tree(NamedTuple):
     """One CART tree as parallel node arrays, the form a model is saved in.
 
-    Node 0 is the root and nodes are numbered in preorder. A split node has
-    its ``feature``, ``threshold`` and tree-local ``left``/``right`` children;
-    a leaf has ``feature`` -1 and its label in ``leaf_class`` (-1 at split
-    nodes). Nodes are appended to lists while the tree grows; ``freeze``
-    turns the lists into arrays, also after loading. Prediction does not walk
-    these arrays: the forest packs all its trees into one ``_NodeTable``.
+    Node 0 is the root and nodes are numbered in preorder, so a split node's
+    ``left`` child is the next node. A split node has its ``feature``,
+    ``threshold`` and tree-local ``left``/``right`` children; a leaf has
+    ``feature`` -1 and its label in ``leaf_class`` (-1 at split nodes).
+    Growing, saving and loading all use this one immutable form. Prediction
+    does not walk these arrays: the forest packs all its trees into one
+    ``_NodeTable``.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_class")
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_class: np.ndarray
 
-    def __init__(self):
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.leaf_class = [], [], []
+    @classmethod
+    def of(cls, columns):
+        """The tree of five node columns, in field order, cast to the saved dtypes."""
+        dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
+        return cls(*(np.asarray(col, dtype=dtype) for col, dtype in zip(columns, dtypes)))
 
-    def _new_node(self):
-        for arr, fill in (
-            (self.feature, -1),
-            (self.threshold, 0.0),
-            (self.left, -1),
-            (self.right, -1),
-            (self.leaf_class, -1),
-        ):
-            arr.append(fill)
-        return len(self.feature) - 1
-
-    def freeze(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.leaf_class = np.asarray(self.leaf_class, dtype=np.int64)
+    def fault(self, n_features, classes):
+        """Why a loaded tree cannot route rows to a class, or None. Each node but
+        the root must be one split node's child, after it, so routing ends."""
+        n = len(self.feature) if self.feature.ndim == 1 else 0
+        if n == 0 or any(col.shape != (n,) for col in self):
+            return "its node columns are empty or differ in length"
+        split = np.flatnonzero(self.feature >= 0)
+        left, right = self.left[split], self.right[split]
+        once = np.array_equal(np.sort(np.r_[left, right]), np.arange(1, n))
+        if not once or np.any((left != split + 1) | (right <= left)):
+            return "its split nodes' children do not form one tree"
+        if np.any(self.feature >= n_features):
+            return f"a split feature is not below n_features={n_features}"
+        if not np.isin(self.leaf_class[self.feature < 0], classes).all():
+            return "a leaf class is not one of the model's classes"
+        return None
 
 
 class _NodeTable(NamedTuple):
@@ -483,13 +489,11 @@ class _NodeTable(NamedTuple):
 
     @classmethod
     def pack(cls, trees, classes, n_features):
-        def joined(name):
-            return np.concatenate([getattr(t, name) for t in trees])
-
+        nodes = _Tree(*map(np.concatenate, zip(*trees)))  # every tree's nodes, end to end
         sizes = [len(t.feature) for t in trees]
         n_trees, n_nodes = len(trees), sum(sizes)
         start = np.cumsum(sizes) - sizes
-        feature = joined("feature")
+        feature = nodes.feature
         split = np.nonzero(feature >= 0)[0]
         leaves = np.nonzero(feature < 0)[0]
         # each node's packed id: the roots, then the children of each split node as a pair
@@ -497,8 +501,8 @@ class _NodeTable(NamedTuple):
         packed[start] = np.arange(n_trees)
         pair = n_trees + 2 * np.arange(len(split))
         offset = np.repeat(start, sizes)[split]
-        packed[joined("left")[split] + offset] = pair
-        packed[joined("right")[split] + offset] = pair + 1
+        packed[nodes.left[split] + offset] = pair
+        packed[nodes.right[split] + offset] = pair + 1
         at = packed[split]
         used = np.unique(feature[split])
         position = np.full(n_features, -1)
@@ -506,11 +510,11 @@ class _NodeTable(NamedTuple):
         column = np.zeros(n_nodes, dtype=np.int64)
         column[at] = position[feature[split]]
         threshold = np.full(n_nodes, np.nan)
-        threshold[at] = joined("threshold")[split]
+        threshold[at] = nodes.threshold[split]
         right = np.arange(n_nodes)
         right[at] = pair + 1
         leaf = np.full(n_nodes, -1)
-        leaf[packed[leaves]] = np.searchsorted(classes, joined("leaf_class")[leaves])
+        leaf[packed[leaves]] = np.searchsorted(classes, nodes.leaf_class[leaves])
         depth, level = 0, np.arange(n_trees)
         while (level := level[leaf[level] < 0]).size:  # the split nodes at this depth
             depth += 1
@@ -596,17 +600,19 @@ class RandomForest(TrainedModel):
     Stored thresholds are the real midpoints, so prediction routes raw
     feature values and does not depend on the binning.
 
-    ``trees_`` is what a model saves; after fitting or loading, the trees are
-    also packed into one ``_NodeTable`` (the flattened traversal of Asadi,
-    Lin and de Vries, TKDE 2014). Prediction gathers the dense block of the
-    forest's split features once. A row that stores nothing in the columns
-    a tree splits on ends on that tree's zero-path leaf, so, as in
-    QuickScorer (Lucchese et al., SIGIR 2015), tests whose outcome is
-    already known are skipped: every row starts from the zero-path votes,
-    and only the (row, tree) pairs a stored entry touches move one level
-    down per pass, all trees at once, their votes moved from the zero-path
-    leaf to the leaf they reach. Vote counts are integers, so the scores,
-    vote fractions over trees, do not depend on the order of the counting.
+    ``trees_`` holds the trees in the one form a model saves (``_Tree``); the
+    benchmark harness reads it, so it stays beside the packed table. After
+    fitting or loading, the trees are packed into one ``_NodeTable`` (the
+    flattened traversal of Asadi, Lin and de Vries, TKDE 2014). Prediction
+    gathers the dense block of the forest's split features once. A row that
+    stores nothing in the columns a tree splits on ends on that tree's
+    zero-path leaf, so, as in QuickScorer (Lucchese et al., SIGIR 2015),
+    tests whose outcome is already known are skipped: every row starts from
+    the zero-path votes, and only the (row, tree) pairs a stored entry
+    touches move one level down per pass, all trees at once, their votes
+    moved from the zero-path leaf to the leaf they reach. Vote counts are
+    integers, so the scores, vote fractions over trees, do not depend on the
+    order of the counting.
     """
 
     def _fit(self, X, y):
@@ -621,10 +627,9 @@ class RandomForest(TrainedModel):
         for child in children:
             rng = np.random.default_rng(child)
             rows = rng.integers(0, n, n) if hp["bootstrap"] else np.arange(n)
-            tree = _Tree()
-            self._grow(tree, bins, y_local, k, np.sort(rows), 0, m, rng)
-            tree.freeze()
-            self.trees_.append(tree)
+            nodes = []
+            self._grow(nodes, bins, y_local, k, np.sort(rows), 0, m, rng)
+            self.trees_.append(_Tree.of(zip(*nodes)))
         self._table = _NodeTable.pack(self.trees_, self.classes_, self.n_features_)
 
     def _features_per_node(self):
@@ -678,25 +683,22 @@ class RandomForest(TrainedModel):
         zero_code = np.bincount(mid_feat[mids < 0.0], minlength=F)
         return _Bins(X.indptr, X.indices, codes, zero_code, np.diff(offsets) + 1, mids, offsets)
 
-    def _grow(self, tree, bins, y_local, k, rows, depth, m, rng):
-        node = tree._new_node()
+    def _grow(self, nodes, bins, y_local, k, rows, depth, m, rng):
+        """Append the subtree of ``rows`` to ``nodes`` in preorder, one
+        ``[feature, threshold, left, right, leaf_class]`` row per node, and
+        return its root's index."""
+        node = len(nodes)
         counts = np.bincount(y_local[rows], minlength=k)
-        if (
-            depth >= self.hp["max_depth"]
-            or len(rows) < 2 * self.hp["min_samples_leaf"]
-            or np.max(counts) == len(rows)
-        ):
-            tree.leaf_class[node] = int(self.classes_[np.argmax(counts)])
-            return node
-        split = self._best_split(bins, y_local, k, rows, m, rng, counts)
+        grow = depth < self.hp["max_depth"] and len(rows) >= 2 * self.hp["min_samples_leaf"]
+        grow = grow and np.max(counts) < len(rows)  # not pure
+        split = self._best_split(bins, y_local, k, rows, m, rng, counts) if grow else None
         if split is None:
-            tree.leaf_class[node] = int(self.classes_[np.argmax(counts)])
+            nodes.append([-1, 0.0, -1, -1, int(self.classes_[np.argmax(counts)])])
             return node
         feat, thr, go_left = split
-        tree.feature[node] = feat
-        tree.threshold[node] = thr
-        tree.left[node] = self._grow(tree, bins, y_local, k, rows[go_left], depth + 1, m, rng)
-        tree.right[node] = self._grow(tree, bins, y_local, k, rows[~go_left], depth + 1, m, rng)
+        nodes.append([feat, thr, node + 1, -1, -1])
+        self._grow(nodes, bins, y_local, k, rows[go_left], depth + 1, m, rng)
+        nodes[node][3] = self._grow(nodes, bins, y_local, k, rows[~go_left], depth + 1, m, rng)
         return node
 
     def _best_split(self, bins, y_local, k, rows, m, rng, counts):
@@ -835,28 +837,24 @@ class RandomForest(TrainedModel):
         return margins
 
     def _params(self):
-        return {
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "leaf_class": t.leaf_class.tolist(),
-                }
-                for t in self.trees_
-            ]
-        }
+        return {"trees": [{f: getattr(t, f).tolist() for f in _Tree._fields} for t in self.trees_]}
 
     @classmethod
     def _from_params(cls, head, params):
+        """The saved forest; each tree is checked once, as a model file is
+        outside input and a malformed tree could route forever or misvote."""
         model = cls(*head)
+        if not isinstance(params, dict) or not params.get("trees"):
+            raise ValueError("random forest payload has no trees")
         model.trees_ = []
-        for spec in params["trees"]:
-            tree = _Tree()
-            tree.feature, tree.threshold = spec["feature"], spec["threshold"]
-            tree.left, tree.right, tree.leaf_class = spec["left"], spec["right"], spec["leaf_class"]
-            tree.freeze()
+        for i, spec in enumerate(params["trees"]):
+            try:
+                tree = _Tree.of(spec[f] for f in _Tree._fields)
+                fault = tree.fault(model.n_features_, model.classes_)
+            except (KeyError, TypeError, ValueError) as exc:
+                fault = f"unreadable node columns ({exc!r})"
+            if fault:
+                raise ValueError(f"random forest tree {i}: {fault}")
             model.trees_.append(tree)
         model._table = _NodeTable.pack(model.trees_, model.classes_, model.n_features_)
         return model

@@ -3,6 +3,7 @@
 import itertools
 import json
 import multiprocessing
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -526,6 +527,26 @@ class TestFitFinalAndSerialization:
         path = tmp_path / "ensemble.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=match):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda d: [], "ensemble container is not a JSON object"),
+            (lambda d: "ensemble", "ensemble container is not a JSON object"),
+            (lambda d: {**d, "members": [[]]}, "ensemble member 0 is not a JSON object"),
+            (
+                lambda d: {**d, "members": [{**d["members"][0], "model": []}]},
+                "ensemble member 0's model is not a JSON object",
+            ),
+        ],
+        ids=["list-container", "string-container", "list-member", "list-model"],
+    )
+    def test_load_rejects_a_container_that_is_not_an_object(self, tmp_path, change, match):
+        _, _, ensemble = self._pipeline()
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(change(ensemble_to_dict(ensemble))), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {match}"):
             load_ensemble(path)
 
     def test_load_rejects_foreign_payload(self, tmp_path):

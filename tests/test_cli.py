@@ -485,6 +485,23 @@ class TestReport:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [("dataset", {}), ("config", []), ("rounds", [{}]), ("top_ngrams", []), ("pooled", 1)],
+        ids=["empty-dataset", "list-config", "empty-round", "list-top-ngrams", "number-pooled"],
+    )
+    def test_malformed_section_exits_2_with_error_line(
+        self, evaluate_run, tmp_path, capsys, section, value
+    ):
+        _, out_dir, _ = evaluate_run
+        payload = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**payload, section: value}), encoding="utf-8")
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: not a report.json written by evaluate\n"
+        assert captured.out == ""
+
 
 class TestErrorHandling:
     def test_bad_label_reports_line_number(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from sentigram.learners import (
     MultinomialNB,
     RandomForest,
     _NodeTable,
+    _Tree,
     _one_vs_best_rest,
     default_hp,
     model_from_dict,
@@ -1002,6 +1003,67 @@ class TestSerialization:
         payload["kind"] = "svm_rbf"
         with pytest.raises(ValueError, match="unknown learner kind 'svm_rbf'"):
             model_from_dict(json.loads(json.dumps(payload)))
+
+
+class TestLoadedForestCheck:
+    """A model file is outside input: each tree of a loaded forest is checked
+    once, and a malformed one is refused with the tree's index."""
+
+    @staticmethod
+    def _payload():
+        model = train("random_forest", fast_hp("random_forest"), separable_matrix(seed=20), seed=1)
+        payload = json.loads(json.dumps(model_to_dict(model)))
+        tree = payload["params"]["trees"][1]
+        assert tree["feature"][0] >= 0 and len(tree["feature"]) >= 5  # the root splits
+        return payload
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda t: t["right"].__setitem__(0, 0), "children do not form one tree"),
+            (lambda t: t["right"].__setitem__(0, len(t["right"]) + 5), "children do not form"),
+            (lambda t: (t["left"].__setitem__(0, t["right"][0]), t["right"].__setitem__(0, 1)),
+             "children do not form one tree"),
+            (lambda t: t.update(feature=[0, -1, 0, -1, -1], threshold=[0.5] * 5,
+                                left=[1, -1, 3, -1, -1], right=[4, -1, 2, -1, -1],
+                                leaf_class=[-1, 0, -1, 1, 2]), "children do not form one tree"),
+            (lambda t: t["leaf_class"].__setitem__(t["feature"].index(-1), 3), "leaf class"),
+            (lambda t: t["leaf_class"].__setitem__(t["feature"].index(-1), -1), "leaf class"),
+            (lambda t: t["threshold"].pop(), "differ in length"),
+            (lambda t: t.update({name: [] for name in t}), "empty or differ in length"),
+            (lambda t: t["feature"].__setitem__(0, 6), r"split feature is not below n_features=6"),
+            (lambda t: t.pop("left"), r"unreadable node columns \(KeyError\('left'\)\)"),
+            (lambda t: t.update(feature="root"), "unreadable node columns"),
+        ],
+        ids=["cycle", "child-out-of-range", "children-swapped", "right-before-left",
+             "leaf-class-not-a-class", "leaf-without-class", "short-threshold", "no-nodes",
+             "feature-out-of-range", "no-left-column", "non-numeric-column"],
+    )
+    def test_a_malformed_tree_is_refused_with_its_index(self, change, match):
+        payload = self._payload()
+        change(payload["params"]["trees"][1])
+        with pytest.raises(ValueError, match=r"random forest tree 1: .*" + match):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "params", [{}, {"trees": []}, {"trees": None}, []], ids=["no-trees", "empty-trees",
+                                                                  "null-trees", "list-params"]
+    )
+    def test_a_forest_without_trees_is_refused(self, params):
+        payload = self._payload()
+        payload["params"] = params
+        with pytest.raises(ValueError, match="random forest payload has no trees"):
+            model_from_dict(payload)
+
+    def test_growing_a_tree_does_not_run_the_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a grown tree was checked")
+
+        monkeypatch.setattr(_Tree, "fault", refuse)
+        model = train("random_forest", fast_hp("random_forest"), separable_matrix(seed=20), seed=1)
+        assert all(isinstance(t, _Tree) for t in model.trees_)
+        with pytest.raises(AssertionError, match="was checked"):
+            json_roundtrip(model)
 
 
 if __name__ == "__main__":
