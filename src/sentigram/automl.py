@@ -399,24 +399,33 @@ def load_ensemble(path) -> TrainedEnsemble:
         if not payload.get(key):
             raise ValueError(f"{path}: ensemble container has no {key}")
     members = []
-    for spec in payload["members"]:
+    for i, spec in enumerate(payload["members"]):
         if not isinstance(spec, dict):
-            raise ValueError(f"{path}: ensemble member {len(members)} is not a JSON object")
+            raise ValueError(f"{path}: ensemble member {i} is not a JSON object")
         for key in ("model", "multiplicity"):
             if key not in spec:
                 raise ValueError(f"{path}: ensemble member has no {key}")
         if not isinstance(spec["model"], dict):
-            raise ValueError(f"{path}: ensemble member {len(members)}'s model is not a JSON object")
+            raise ValueError(f"{path}: ensemble member {i}'s model is not a JSON object")
         count = spec["multiplicity"]
         if type(count) is not int:  # bool is a subclass of int and is refused too
             raise ValueError(f"{path}: ensemble member multiplicity {count!r} is not an integer")
         if count < 1:
             raise ValueError(f"{path}: ensemble member multiplicity below 1")
-        model = model_from_dict(spec["model"])
+        kind = spec["model"].get("kind")
+        try:
+            model = model_from_dict(spec["model"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: ensemble member {i} ({kind}): {exc}") from None
         if model.fingerprint != payload["fingerprint"]:
             raise ValueError(
-                f"{path}: ensemble member {len(members)} ({model.kind}) has dictionary "
-                f"fingerprint {model.fingerprint!r}, not the container's {payload['fingerprint']!r}"
+                f"{path}: ensemble member {i} ({kind}) has dictionary fingerprint "
+                f"{model.fingerprint!r}, not the container's {payload['fingerprint']!r}"
+            )
+        if model.classes_[-1] >= len(LABELS):  # predict_scores indexes LABELS by class
+            raise ValueError(
+                f"{path}: ensemble member {i} ({kind}) has classes {model.classes_.tolist()}, "
+                f"not all below the {len(LABELS)} labels"
             )
         members.append(EnsembleMember(model=model, multiplicity=count))
     return TrainedEnsemble(

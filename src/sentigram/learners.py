@@ -20,7 +20,11 @@ Shared contracts:
 
 Models serialize to a self-describing JSON-ready dict (``model_to_dict``)
 carrying kind, hp, class set, parameters, and the dictionary fingerprint of
-the training matrix; ``model_from_dict`` refuses a payload without one.
+the training matrix. Each kind declares its saved arrays once (``_ARRAYS``)
+and one writer and one reader serve them all; the forest saves its trees.
+``model_from_dict`` checks the payload's head before using any of it, and
+the reader each array's shape: a malformed payload raises a ``ValueError``
+naming the field.
 """
 
 from __future__ import annotations
@@ -182,8 +186,27 @@ class TrainedModel:
     def _margins(self, training) -> np.ndarray | None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _params(self) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
+    # each saved array as (attribute, shape over k classes and F features), keyed without "_"
+    _ARRAYS: tuple = ()
+
+    def _params(self) -> dict:
+        return {name.removesuffix("_"): getattr(self, name).tolist() for name, _ in self._ARRAYS}
+
+    @classmethod
+    def _from_params(cls, head, params):
+        """The model of a checked head, its arrays float64 in ``_fit``'s Fortran order."""
+        model = cls(*head)
+        sizes = {"k": len(model.classes_), "F": model.n_features_}
+        for name, dims in cls._ARRAYS:
+            key, shape = name.removesuffix("_"), tuple(sizes[d] for d in dims)
+            try:
+                array = np.asarray(params[key], dtype=np.float64, order="F")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{model.kind} params {key!r}: unreadable ({exc!r})") from None
+            if array.shape != shape:
+                raise ValueError(f"{model.kind} params {key!r}: shape {array.shape}, not {shape}")
+            setattr(model, name, array)
+        return model
 
 
 class ConstantModel(TrainedModel):
@@ -201,10 +224,6 @@ class ConstantModel(TrainedModel):
     def _params(self):
         return {"constant": True}
 
-    @classmethod
-    def _from_params(cls, head, params):
-        return cls(*head)
-
 
 class MultinomialNB(TrainedModel):
     """Laplace-smoothed multinomial naive Bayes over nonnegative evidence.
@@ -213,6 +232,8 @@ class MultinomialNB(TrainedModel):
     be negative); those are clamped to 0 here because multinomial likelihoods
     need nonnegative counts. Other kinds consume raw values.
     """
+
+    _ARRAYS = (("class_log_prior_", "k"), ("feature_log_prob_", "kF"))
 
     def _fit(self, X, y):
         alpha = self.hp["alpha"]
@@ -239,19 +260,6 @@ class MultinomialNB(TrainedModel):
 
     def _margins(self, training):
         return _one_vs_best_rest(self.feature_log_prob_)
-
-    def _params(self):
-        return {
-            "class_log_prior": self.class_log_prior_.tolist(),
-            "feature_log_prob": self.feature_log_prob_.tolist(),
-        }
-
-    @classmethod
-    def _from_params(cls, head, params):
-        model = cls(*head)
-        model.class_log_prior_ = np.asarray(params["class_log_prior"])
-        model.feature_log_prob_ = np.asfortranarray(params["feature_log_prob"])
-        return model
 
 
 def _canonical_csr(X, copy=False):
@@ -358,6 +366,8 @@ class _LinearModel(TrainedModel):
     full-batch objective ``_loss_grad`` (W, b, X, y_local, l2) -> (loss,
     grad_W, grad_b), found by L-BFGS from zero."""
 
+    _ARRAYS = (("W_", "kF"), ("b_", "k"))
+
     def _fit(self, X, y):
         X = X.tocsr()
         k, F = len(self.classes_), self.n_features_
@@ -379,16 +389,6 @@ class _LinearModel(TrainedModel):
 
     def _margins(self, training):
         return _one_vs_best_rest(self.W_)
-
-    def _params(self):
-        return {"W": self.W_.tolist(), "b": self.b_.tolist()}
-
-    @classmethod
-    def _from_params(cls, head, params):
-        model = cls(*head)
-        model.W_ = np.asfortranarray(params["W"])
-        model.b_ = np.asarray(params["b"])
-        return model
 
 
 class SoftmaxRegression(_LinearModel):
@@ -843,7 +843,7 @@ class RandomForest(TrainedModel):
     def _from_params(cls, head, params):
         """The saved forest; each tree is checked once, as a model file is
         outside input and a malformed tree could route forever or misvote."""
-        model = cls(*head)
+        model = super()._from_params(head, params)
         if not isinstance(params, dict) or not params.get("trees"):
             raise ValueError("random forest payload has no trees")
         model.trees_ = []
@@ -896,18 +896,35 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> TrainedModel:
+    """The saved model; its head is checked before any of it is used, and the
+    kind's reader checks ``params``."""
+    if not isinstance(payload, dict):
+        raise ValueError("model payload is not a JSON object")
     if payload.get("format") != _MODEL_FORMAT:
         raise ValueError(f"not a model container (format={payload.get('format')!r})")
-    _check_kind(payload.get("kind"))
+    kind = payload.get("kind")
+    _check_kind(kind)
     if not payload.get("fingerprint"):
         raise ValueError("model payload has no dictionary fingerprint")
-    head = (
-        payload["kind"],
-        validate_hp(payload["kind"], payload["hp"]),
-        payload["seed"],
-        np.asarray(payload["classes"], dtype=np.int64),
-        payload["n_features"],
-        payload["fingerprint"],
-    )
-    cls = ConstantModel if payload["constant"] else _MODEL_CLASSES[payload["kind"]]
+    for key in ("hp", "seed", "classes", "n_features", "constant", "params"):
+        if key not in payload:
+            raise ValueError(f"{kind} payload has no {key!r}")
+    hp, classes, constant = payload["hp"], payload["classes"], payload["constant"]
+    if not isinstance(hp, dict):
+        raise ValueError(f"{kind} payload: hp={hp!r} is not a JSON object")
+    for key in ("seed", "n_features"):
+        if not _is_count(payload[key]):
+            raise ValueError(f"{kind} payload: {key}={payload[key]!r} is not a non-negative int")
+    ints = isinstance(classes, list) and all(map(_is_count, classes))
+    if not (classes and ints and classes == sorted(set(classes))):
+        raise ValueError(f"{kind} payload: classes={classes!r} are not ascending non-negative ints")
+    if type(constant) is not bool or constant != (len(classes) == 1):
+        raise ValueError(f"{kind} payload: constant={constant!r} does not match classes={classes}")
+    head = (kind, validate_hp(kind, hp), payload["seed"], classes, payload["n_features"],
+            payload["fingerprint"])
+    cls = ConstantModel if constant else _MODEL_CLASSES[kind]
     return cls._from_params(head, payload["params"])
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # bool is a subclass of int and is refused too

@@ -313,10 +313,11 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
     The TSV schema records none of the build's settings, so ``corpus_size``,
     ``max_n`` and ``min_freq`` are None.
     The file must be prefix-closed, as every exported dictionary is: a phrase
-    whose (n-1)-prefix has no line is rejected.
+    whose (n-1)-prefix has no line is rejected. A leading UTF-8 byte-order
+    mark is skipped, and a malformed line is refused naming the file and line.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines or tuple(lines[0].split("\t")) != DICTIONARY_COLUMNS:
         raise ValueError(f"{path}: not a dictionary TSV (bad header)")
     entries: dict[Phrase, NGramEntry] = {}
@@ -325,8 +326,11 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
         if len(fields) != len(DICTIONARY_COLUMNS):
             raise ValueError(f"{path}: line {lineno}: expected {len(DICTIONARY_COLUMNS)} fields")
         phrase = tuple(fields[0].split(" "))
-        n, freq, dfp, dft = (int(v) for v in fields[1:5])
-        weight = float(fields[5])
+        try:
+            n, freq, dfp, dft = (int(v) for v in fields[1:5])
+            weight = float(fields[5])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: non-numeric field ({exc})") from None
         if len(phrase) != n or not all(phrase):
             raise ValueError(f"{path}: line {lineno}: phrase does not match its length field")
         if not 1 <= dfp <= dft or freq < dfp:

@@ -14,8 +14,10 @@ import scipy.sparse as sp
 from sentigram import automl
 from sentigram.automl import (
     CandidateConfig,
+    EnsembleMember,
     Leaderboard,
     LeaderboardEntry,
+    TrainedEnsemble,
     ensemble_select,
     ensemble_to_dict,
     evaluate_candidate,
@@ -26,7 +28,7 @@ from sentigram.automl import (
     search,
 )
 from sentigram.features import FeatureMatrix
-from sentigram.learners import DEFAULT_HP, KINDS
+from sentigram.learners import DEFAULT_HP, KINDS, train
 from sentigram.metrics import weighted_f1_labels
 
 FP = "fingerprint-of-test-dictionary"
@@ -546,6 +548,37 @@ class TestFitFinalAndSerialization:
         _, _, ensemble = self._pipeline()
         path = tmp_path / "ensemble.json"
         path.write_text(json.dumps(change(ensemble_to_dict(ensemble))), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {match}"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (
+                lambda d: d["members"][0]["model"].update(classes=[0, 1, 5]),
+                r"ensemble member 0 \(multinomial_nb\) has classes \[0, 1, 5\], not all below",
+            ),
+            (
+                lambda d: d["members"][1]["model"]["params"]["trees"][0]["threshold"].pop(),
+                r"ensemble member 1 \(random_forest\): random forest tree 0: its node columns",
+            ),
+            (
+                lambda d: d["members"][0]["model"].pop("n_features"),
+                r"ensemble member 0 \(multinomial_nb\): multinomial_nb payload has no 'n_features'",
+            ),
+        ],
+        ids=["classes-outside-labels", "malformed-tree", "member-without-n-features"],
+    )
+    def test_load_names_the_file_and_member_of_a_malformed_model(self, tmp_path, change, match):
+        fm = separable_matrix(seed=8)
+        forest = train("random_forest", {"n_trees": 10, "max_depth": 3}, fm, seed=1)
+        members = [EnsembleMember(train("multinomial_nb", {}, fm), 1), EnsembleMember(forest, 2)]
+        payload = ensemble_to_dict(TrainedEnsemble(members=members, fingerprint=FP))
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        np.testing.assert_array_equal(load_ensemble(path).predict(fm), fm.y)
+        change(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {match}"):
             load_ensemble(path)
 

@@ -1004,6 +1004,72 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown learner kind 'svm_rbf'"):
             model_from_dict(json.loads(json.dumps(payload)))
 
+    def test_a_payload_that_is_not_an_object_is_refused(self):
+        for payload in ([], "model", None):
+            with pytest.raises(ValueError, match="model payload is not a JSON object"):
+                model_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda d: d.update(classes=[2, 1, 0]), r"classes=\[2, 1, 0\] are not ascending"),
+            (lambda d: d.update(classes=[0, 0, 1]), r"classes=\[0, 0, 1\] are not ascending"),
+            (lambda d: d.update(classes=[-1, 0, 1]), r"classes=\[-1, 0, 1\] are not ascending"),
+            (lambda d: d.update(classes=[0, 1.0, 2]), r"classes=\[0, 1\.0, 2\] are not ascending"),
+            (lambda d: d.update(classes=[]), r"classes=\[\] are not ascending"),
+            (lambda d: d.update(classes="012"), r"classes='012' are not ascending"),
+            (lambda d: d.update(constant=True), r"constant=True does not match classes=\[0, 1, "),
+            (lambda d: d.update(constant=1), r"constant=1 does not match"),
+            (lambda d: d.update(classes=[2], constant=False), r"constant=False does not match"),
+            (lambda d: d.pop("n_features"), "multinomial_nb payload has no 'n_features'"),
+            (lambda d: d.pop("constant"), "multinomial_nb payload has no 'constant'"),
+            (lambda d: d.pop("params"), "multinomial_nb payload has no 'params'"),
+            (lambda d: d.pop("hp"), "multinomial_nb payload has no 'hp'"),
+            (lambda d: d.update(seed="x"), r"seed='x' is not a non-negative int"),
+            (lambda d: d.update(seed=True), r"seed=True is not a non-negative int"),
+            (lambda d: d.update(n_features=-1), r"n_features=-1 is not a non-negative int"),
+            (lambda d: d.update(n_features=6.0), r"n_features=6\.0 is not a non-negative int"),
+            (lambda d: d.update(hp=[]), r"hp=\[\] is not a JSON object"),
+        ],
+        ids=["descending-classes", "repeated-class", "negative-class", "float-class",
+             "no-classes", "string-classes", "constant-with-three-classes", "int-constant",
+             "one-class-not-constant", "no-n-features", "no-constant", "no-params", "no-hp",
+             "string-seed", "bool-seed", "negative-n-features", "float-n-features", "list-hp"],
+    )
+    def test_a_malformed_head_is_refused_naming_its_field(self, change, match):
+        model = train("multinomial_nb", {}, separable_matrix(seed=21))
+        payload = json.loads(json.dumps(model_to_dict(model)))
+        change(payload)
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "kind, change, match",
+        [
+            ("multinomial_nb", lambda d: d["params"]["feature_log_prob"].pop(),
+             r"'feature_log_prob': shape \(2, 6\), not \(3, 6\)"),
+            ("multinomial_nb", lambda d: d["params"]["class_log_prior"].pop(),
+             r"'class_log_prior': shape \(2,\), not \(3,\)"),
+            ("logistic_regression", lambda d: d["params"]["W"].pop(),
+             r"'W': shape \(2, 6\), not \(3, 6\)"),
+            ("linear_svm", lambda d: d["params"]["b"].pop(), r"'b': shape \(2,\), not \(3,\)"),
+            ("linear_svm", lambda d: d.update(n_features=7), r"'W': shape \(3, 6\), not \(3, 7\)"),
+            ("logistic_regression", lambda d: d["params"]["W"][1].pop(), r"'W': unreadable"),
+            ("multinomial_nb", lambda d: d["params"].pop("class_log_prior"),
+             r"'class_log_prior': unreadable \(KeyError"),
+            ("linear_svm", lambda d: d["params"]["b"].__setitem__(0, "x"), r"'b': unreadable"),
+            ("logistic_regression", lambda d: d.update(params=[]), r"'W': unreadable \(TypeError"),
+        ],
+        ids=["nb-table-row-short", "nb-prior-short", "lr-weights-row-short", "svm-bias-short",
+             "n-features-disagrees-with-weights", "ragged-weights", "no-prior", "string-bias",
+             "list-params"],
+    )
+    def test_a_malformed_array_is_refused_naming_its_key(self, kind, change, match):
+        payload = json.loads(json.dumps(model_to_dict(train(kind, {}, separable_matrix(seed=22)))))
+        change(payload)
+        with pytest.raises(ValueError, match=f"{kind} params {match}"):
+            model_from_dict(payload)
+
 
 class TestLoadedForestCheck:
     """A model file is outside input: each tree of a loaded forest is checked

@@ -1,6 +1,7 @@
 """N-gram counting, document-frequency statistics, IDF weighting, TSV round-trip."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -366,6 +367,27 @@ class TestExportImport:
         assert str(excinfo.value) == (
             f"{path}: line 2: phrase 'a b c' has no line for its prefix 'a b'"
         )
+
+    def test_import_skips_a_byte_order_mark(self, tmp_path):
+        d = self._sample_dictionary()
+        path = tmp_path / "dict.tsv"
+        export_dictionary(d, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = import_dictionary(path)
+        assert back.fingerprint == d.fingerprint
+        assert set(back.entries) == set(d.entries)
+
+    @pytest.mark.parametrize(
+        "line", ["x\t1\tx\t2\t2\t0.5", "x\t1\t2\t2\t2\theavy"], ids=["count", "weight"]
+    )
+    def test_import_names_the_file_and_line_of_a_non_numeric_field(self, tmp_path, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            f"phrase\tn\tfreq\tdf_phrase\tdf_terms\tweight\ny\t1\t2\t2\t2\t0.5\n{line}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: non-numeric field"):
+            import_dictionary(path)
 
     def test_import_rejects_duplicate_phrase(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -2,7 +2,8 @@
 as an attribute of the package, the search (automl) does not depend on the
 experiment driver (evaluation) and its workers return results only, the
 driver reads learners only through their public contract, phrase lookup
-lives in the dictionary (ngrams), and each entry point takes one input form."""
+lives in the dictionary (ngrams), each entry point takes one input form, and
+one writer and one reader serve every learner's declared saved arrays."""
 
 import ast
 import importlib
@@ -110,3 +111,17 @@ def test_entry_points_take_one_input_form():
         assert probes == [], f"{module}: {probes}"
     assert [c for c in _calls("evaluation.py") if c.startswith("getattr(")] == []
     assert [c.split("(")[0] for c in _calls("features.py")].count("sp.issparse") == 1
+
+
+def test_one_writer_and_one_reader_serve_the_declared_arrays():
+    # each kind declares its saved arrays (_ARRAYS) and the base class writes
+    # and reads them; a constant model writes its marker, a forest its trees
+    tree = ast.parse((PACKAGE / "learners.py").read_text(encoding="utf-8"))
+    classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+
+    def defining(method):
+        return {c.name for c in classes for f in c.body
+                if isinstance(f, ast.FunctionDef) and f.name == method}
+
+    assert defining("_from_params") == {"TrainedModel", "RandomForest"}
+    assert defining("_params") == {"TrainedModel", "ConstantModel", "RandomForest"}
