@@ -390,7 +390,10 @@ def ensemble_to_dict(ensemble: TrainedEnsemble) -> dict:
 
 
 def load_ensemble(path) -> TrainedEnsemble:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: ensemble container is not a JSON object")
     if payload.get("format") != _ENSEMBLE_FORMAT:
@@ -404,14 +407,14 @@ def load_ensemble(path) -> TrainedEnsemble:
             raise ValueError(f"{path}: ensemble member {i} is not a JSON object")
         for key in ("model", "multiplicity"):
             if key not in spec:
-                raise ValueError(f"{path}: ensemble member has no {key}")
+                raise ValueError(f"{path}: ensemble member {i} has no {key}")
         if not isinstance(spec["model"], dict):
             raise ValueError(f"{path}: ensemble member {i}'s model is not a JSON object")
         count = spec["multiplicity"]
         if type(count) is not int:  # bool is a subclass of int and is refused too
-            raise ValueError(f"{path}: ensemble member multiplicity {count!r} is not an integer")
+            raise ValueError(f"{path}: ensemble member {i} multiplicity {count!r} is not an int")
         if count < 1:
-            raise ValueError(f"{path}: ensemble member multiplicity below 1")
+            raise ValueError(f"{path}: ensemble member {i} multiplicity {count} is below 1")
         kind = spec["model"].get("kind")
         try:
             model = model_from_dict(spec["model"])

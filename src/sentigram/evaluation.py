@@ -322,25 +322,20 @@ def top_ngrams_per_class(
     if training.fingerprint != dictionary.fingerprint:
         raise ValueError("training matrix was vectorized against a different dictionary")
 
-    totals: dict[int, np.ndarray] = {}
+    totals = np.zeros((len(LABELS), F))
     for member in ensemble.members:
         margins = member.model.class_margins(training)
         if margins is None:  # constant model: no discrimination signal
             continue
-        for class_id, points in zip(member.model.classes_, _borda_points(margins)):
-            bucket = totals.setdefault(int(class_id), np.zeros(F))
-            bucket += member.multiplicity * points
-    phrases = [" ".join(p) for p in dictionary.feature_order]
+        totals[member.model.classes_] += member.multiplicity * _borda_points(margins)
+    # Ties go to the lexicographically first phrase. Columns are in
+    # ``feature_order``, sorted as token tuples, which is also the joined
+    # phrases' string order: tokens are [a-z0-9]+, whose every character
+    # sorts above the joining space. A stable sort keeps equal points there.
     out: dict[str, list[str]] = {}
-    for i, label in enumerate(LABELS):
-        points = totals.get(i)
-        if points is None or k <= 0:
-            out[label] = []
-            continue
-        ranked = sorted(
-            (j for j in range(F) if points[j] > 0), key=lambda j: (-points[j], phrases[j])
-        )
-        out[label] = [phrases[j] for j in ranked[:k]]
+    for label, points in zip(LABELS, totals):
+        ranked = np.argsort(-points, kind="stable")[: max(k, 0)]
+        out[label] = [" ".join(dictionary.feature_order[j]) for j in ranked if points[j] > 0]
     return out
 
 

@@ -23,8 +23,8 @@ carrying kind, hp, class set, parameters, and the dictionary fingerprint of
 the training matrix. Each kind declares its saved arrays once (``_ARRAYS``)
 and one writer and one reader serve them all; the forest saves its trees.
 ``model_from_dict`` checks the payload's head before using any of it, and
-the reader each array's shape: a malformed payload raises a ``ValueError``
-naming the field.
+the reader each array's shape and that its values are finite: a malformed
+payload raises a ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
@@ -194,7 +194,8 @@ class TrainedModel:
 
     @classmethod
     def _from_params(cls, head, params):
-        """The model of a checked head, its arrays float64 in ``_fit``'s Fortran order."""
+        """The model of a checked head, its arrays float64 in ``_fit``'s
+        Fortran order, each of its declared shape and finite."""
         model = cls(*head)
         sizes = {"k": len(model.classes_), "F": model.n_features_}
         for name, dims in cls._ARRAYS:
@@ -205,6 +206,8 @@ class TrainedModel:
                 raise ValueError(f"{model.kind} params {key!r}: unreadable ({exc!r})") from None
             if array.shape != shape:
                 raise ValueError(f"{model.kind} params {key!r}: shape {array.shape}, not {shape}")
+            if not np.isfinite(array).all():  # train keeps every saved array finite
+                raise ValueError(f"{model.kind} params {key!r}: a value is not finite")
             setattr(model, name, array)
         return model
 
@@ -448,6 +451,8 @@ class _Tree(NamedTuple):
             return "its split nodes' children do not form one tree"
         if np.any(self.feature >= n_features):
             return f"a split feature is not below n_features={n_features}"
+        if not np.isfinite(self.threshold[split]).all():  # thresholds are midpoints of values
+            return "a split threshold is not finite"
         if not np.isin(self.leaf_class[self.feature < 0], classes).all():
             return "a leaf class is not one of the model's classes"
         return None
@@ -546,19 +551,23 @@ class _NodeTable(NamedTuple):
         dense[rows, at] = X.data[kept]
         return dense, rows, at
 
-    def touched(self, rows, at, n):
-        """The (row, tree) pairs, as two flat arrays in row-major order, whose
-        row stores an entry in a column the tree splits on: ``rows`` and
-        ``at`` are ``gather``'s entries of an n-row block. Every other pair
-        ends on its tree's ``zero_leaf``."""
-        n_trees = len(self.zero_leaf)
+    def leaves(self, X):
+        """The leaf class each row of X reaches in each tree, an (n, n_trees)
+        block, and ``gather``'s dense block. Every row starts on each tree's
+        ``zero_leaf``; only the (row, tree) pairs whose row stores an entry in
+        a column the tree splits on are routed."""
+        dense, rows, at = self.gather(X)
+        n, n_trees = dense.shape[0], len(self.zero_leaf)
         first = self.tree_ptr[at]
         count = self.tree_ptr[at + 1] - first
         slot = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
         hit = np.zeros(n * n_trees, dtype=bool)
         hit[np.repeat(rows, count) * n_trees + self.tree_ids[slot]] = True
         pairs = np.flatnonzero(hit)
-        return pairs // n_trees, pairs % n_trees
+        leaves = np.tile(self.zero_leaf, n)
+        if pairs.size:  # routing costs ``depth`` array passes even for no pairs
+            leaves[pairs] = self.route(dense, pairs // n_trees, pairs % n_trees)
+        return leaves.reshape(n, n_trees), dense
 
     def route(self, dense, rows, trees):
         """The leaf class reached by each (row, tree) pair, given as two flat
@@ -604,15 +613,15 @@ class RandomForest(TrainedModel):
     benchmark harness reads it, so it stays beside the packed table. After
     fitting or loading, the trees are packed into one ``_NodeTable`` (the
     flattened traversal of Asadi, Lin and de Vries, TKDE 2014). Prediction
-    gathers the dense block of the forest's split features once. A row that
-    stores nothing in the columns a tree splits on ends on that tree's
-    zero-path leaf, so, as in QuickScorer (Lucchese et al., SIGIR 2015),
-    tests whose outcome is already known are skipped: every row starts from
-    the zero-path votes, and only the (row, tree) pairs a stored entry
-    touches move one level down per pass, all trees at once, their votes
-    moved from the zero-path leaf to the leaf they reach. Vote counts are
-    integers, so the scores, vote fractions over trees, do not depend on the
-    order of the counting.
+    gathers the dense block of the forest's split features once and maps
+    every row to its leaf in every tree in one pass (``_NodeTable.leaves``).
+    A row that stores nothing in the columns a tree splits on ends on that
+    tree's zero-path leaf, so, as in QuickScorer (Lucchese et al., SIGIR
+    2015), tests whose outcome is already known are skipped: every row starts
+    on the zero-path leaves, and only the (row, tree) pairs a stored entry
+    touches move one level down per pass, all trees at once. Scores are the
+    integer vote counts of that leaf block over the number of trees, so they
+    do not depend on the order of the counting.
     """
 
     def _fit(self, X, y):
@@ -767,29 +776,22 @@ class RandomForest(TrainedModel):
         return feat, float(bins.thresholds[bins.offsets[feat] + code]), go_left
 
     def predict_scores(self, fm):
-        table = self._table
-        dense, rows, at = table.gather(self._coerce(fm))
-        n, k = dense.shape[0], len(self.classes_)
-        votes = np.tile(np.bincount(table.zero_leaf, minlength=k), (n, 1))
-        rows, trees = table.touched(rows, at, n)
-        if rows.size:
-            # move each touched pair's vote from its zero-path leaf to the leaf it reaches
-            votes += self._votes(rows, table.route(dense, rows, trees), n)
-            votes -= self._votes(rows, table.zero_leaf[trees], n)
-        return votes / len(self.trees_)
+        return self._votes(self._table.leaves(self._coerce(fm))[0]) / len(self.trees_)
 
-    def _votes(self, rows, leaves, n):
-        """Integer vote counts per row and class, (n, k), from flat (row, leaf class) pairs."""
-        k = len(self.classes_)
-        return np.bincount(rows * k + leaves, minlength=n * k).reshape(n, k)
+    def _votes(self, leaves):
+        """Integer vote counts per row and class, (n, k), from an (n, trees) leaf-class block."""
+        n, k = leaves.shape[0], len(self.classes_)
+        at = np.arange(n)[:, None] * k + leaves
+        return np.bincount(at.ravel(), minlength=n * k).reshape(n, k)
 
     def permutation_importance(
         self, training: FeatureMatrix, seed: int = 0, max_rows: int = 256
     ) -> np.ndarray:
         """Mean accuracy drop on (a subsample of) the labeled rows of
         ``training`` when one feature column is shuffled; features never used
-        in any split have exactly zero importance and are skipped. The rows
-        are routed once; a shuffle re-routes only the trees that split on the
+        in any split have exactly zero importance and are skipped. The rows'
+        leaves come from the one leaf map ``predict_scores`` uses; a shuffle
+        re-routes, from their roots, only the trees that split on the
         shuffled feature, and the other trees' votes are reused.
         """
         X, y = self._coerce(training), training.y
@@ -800,24 +802,20 @@ class RandomForest(TrainedModel):
             X, y = X[keep], y[keep]
         table = self._table
         n = X.shape[0]
-        dense = table.gather(X)[0]
-        rows = np.repeat(np.arange(n), len(self.trees_))
-        base_leaves = table.route(dense, rows, np.tile(np.arange(len(self.trees_)), n))
-        votes_base = self._votes(rows, base_leaves, n)
-        base_leaves = base_leaves.reshape(n, len(self.trees_))
+        base_leaves, dense = table.leaves(X)
+        votes_base = self._votes(base_leaves)
         base = np.mean(self.classes_[np.argmax(votes_base, axis=1)] == y)
         importance = np.zeros(self.n_features_)
         for j in range(len(table.used)):  # ascending feature order, as the draws assume
             trees = table.tree_ids[table.tree_ptr[j] : table.tree_ptr[j + 1]]
-            rows = np.repeat(np.arange(n), len(trees))
             col = dense[:, j].copy()
             dense[:, j] = col[rng.permutation(n)]
-            leaves = table.route(dense, rows, np.tile(trees, n))
+            leaves = table.route(dense, np.repeat(np.arange(n), len(trees)), np.tile(trees, n))
             dense[:, j] = col
             votes = (
                 votes_base
-                - self._votes(rows, base_leaves[:, trees].ravel(), n)
-                + self._votes(rows, leaves, n)
+                - self._votes(base_leaves[:, trees])
+                + self._votes(leaves.reshape(n, len(trees)))
             )
             acc = np.mean(self.classes_[np.argmax(votes, axis=1)] == y)
             importance[table.used[j]] = base - acc

@@ -505,13 +505,13 @@ class TestFitFinalAndSerialization:
             (lambda d: d.update(members=[]), "no members"),
             (lambda d: d.pop("members"), "no members"),
             (lambda d: d.pop("fingerprint"), "no fingerprint"),
-            (lambda d: d["members"][0].update(multiplicity=0), "multiplicity below 1"),
+            (lambda d: d["members"][0].update(multiplicity=0), "member 0 multiplicity 0 is below"),
             (lambda d: d["members"][0]["model"].update(fingerprint=""), "fingerprint"),
-            (lambda d: d["members"][0].pop("model"), "member has no model"),
-            (lambda d: d["members"][0].pop("multiplicity"), "member has no multiplicity"),
-            (lambda d: d["members"][0].update(multiplicity=1.5), "1.5 is not an integer"),
-            (lambda d: d["members"][0].update(multiplicity="2"), "'2' is not an integer"),
-            (lambda d: d["members"][0].update(multiplicity=True), "True is not an integer"),
+            (lambda d: d["members"][0].pop("model"), "member 0 has no model"),
+            (lambda d: d["members"][0].pop("multiplicity"), "member 0 has no multiplicity"),
+            (lambda d: d["members"][0].update(multiplicity=1.5), "member 0 multiplicity 1.5 is not"),
+            (lambda d: d["members"][0].update(multiplicity="2"), "member 0 multiplicity '2' is not"),
+            (lambda d: d["members"][0].update(multiplicity=True), "member 0 multiplicity True is"),
             (
                 lambda d: d["members"][-1]["model"].update(fingerprint="B"),
                 r"member \d+ \(\w+\) has dictionary fingerprint 'B', not the container's",
@@ -580,6 +580,13 @@ class TestFitFinalAndSerialization:
         change(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {match}"):
+            load_ensemble(path)
+
+    def test_load_names_the_file_that_is_not_valid_json(self, tmp_path):
+        _, _, ensemble = self._pipeline()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(ensemble_to_dict(ensemble))[:99], encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not valid JSON"):
             load_ensemble(path)
 
     def test_load_rejects_foreign_payload(self, tmp_path):

@@ -348,6 +348,18 @@ def solo(model):
     )
 
 
+class _FixedMargins:
+    """A stand-in model with given per-class margins over classes 0, 1, 2."""
+
+    classes_ = np.arange(3)
+
+    def __init__(self, margins):
+        self.margins = margins
+
+    def class_margins(self, training):
+        return self.margins
+
+
 def _two_word_fixture():
     """Dictionary {bad, good} plus a matrix where good marks class 0, bad class 2."""
     tokens = [["good", "good"], ["good"], ["bad", "bad"], ["bad"]]
@@ -451,6 +463,29 @@ class TestTopNgrams:
         assert tops["positive"] == ["good", "bad"]
         tops = top_ngrams_per_class(ensemble(1, 3), dictionary, k=2, training=fm)
         assert tops["positive"] == ["bad", "good"]
+
+    def test_equal_points_rank_in_phrase_order(self):
+        # two members whose margins mirror each other give every phrase of a
+        # class the same total points, so the ranking is phrase order alone
+        texts = ["a b ab", "a b ab", "a1 a b9", "a1 a b9", "ab a", "ab a", "b a", "b a"]
+        tokens = [preprocess(t) for t in texts]
+        dictionary = build_dictionary(tokens, max_n=3, min_freq=2)
+        fm = FeatureMatrix(
+            X=vectorize(tokens, dictionary, "count"),
+            y=np.arange(len(tokens)) % 3,
+            fingerprint=dictionary.fingerprint,
+            scheme="count",
+        )
+        margins = np.random.default_rng(3).normal(size=(3, len(dictionary)))
+        ensemble = TrainedEnsemble(
+            members=[EnsembleMember(_FixedMargins(m), 2) for m in (margins, -margins)],
+            fingerprint=dictionary.fingerprint,
+        )
+        phrases = sorted(" ".join(p) for p in dictionary.feature_order)
+        assert {"a b", "ab", "a b ab", "a1", "ab a"} <= set(phrases)
+        for k in (1, 4, len(phrases), len(phrases) + 3):
+            tops = top_ngrams_per_class(ensemble, dictionary, k=k, training=fm)
+            assert tops == {label: phrases[:k] for label in LABELS}
 
     def test_dictionary_fingerprint_mismatch_raises(self):
         dictionary, fm = _two_word_fixture()

@@ -816,6 +816,55 @@ class TestZeroPathRouting:
                 assert sum(routed) == k
 
 
+class TestLeafMap:
+    """``_NodeTable.leaves`` equals routing every (row, tree) pair from its
+    root: the pairs it leaves on the zero-path leaf would end there."""
+
+    @staticmethod
+    def _stumps(rng, F=30, n_trees=15):
+        """A loaded forest of depth-1 trees on random features, some
+        thresholds negative (zero goes right), some exactly 0.0, and one
+        single-leaf tree."""
+        fm = separable_matrix(seed=44)
+        payload = model_to_dict(train("random_forest", fast_hp("random_forest"), fm, seed=44))
+        payload["n_features"] = F
+        thresholds = np.r_[rng.normal(0.0, 1.0, n_trees - 3), 0.0, -0.5]
+        trees = [
+            {"feature": [int(rng.integers(F)), -1, -1], "threshold": [float(thr), 0.0, 0.0],
+             "left": [1, -1, -1], "right": [2, -1, -1],
+             "leaf_class": [-1, *map(int, rng.choice(3, 2))]}
+            for thr in thresholds
+        ]
+        trees.append({"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                      "leaf_class": [1]})
+        payload["params"] = {"trees": trees}
+        return model_from_dict(json.loads(json.dumps(payload)))
+
+    def test_leaves_equal_routing_every_pair_from_its_root(self):
+        rng = np.random.default_rng(45)
+        deep, _ = TestZeroPathRouting._forest(seed=45)
+        stumps = self._stumps(rng)
+        assert stumps._table.depth == 1
+        for model in (deep, stumps, json_roundtrip(deep)):
+            table, F = model._table, model.n_features_
+            n_trees = len(model.trees_)
+            for _ in range(3):
+                canonical, shuffled = non_canonical_csr(rng, F=F)
+                zero_rows = sp.csr_matrix((4, F))
+                for X in (canonical, shuffled, sp.vstack([zero_rows, shuffled, zero_rows]),
+                          zero_rows, sp.csr_matrix((0, F))):
+                    leaves, dense = table.leaves(X)
+                    expected_dense = table.gather(X)[0]
+                    n = expected_dense.shape[0]
+                    every = table.route(
+                        expected_dense, np.repeat(np.arange(n), n_trees),
+                        np.tile(np.arange(n_trees), n),
+                    )
+                    assert leaves.shape == (n, n_trees)
+                    np.testing.assert_array_equal(leaves, every.reshape(n, n_trees))
+                    np.testing.assert_array_equal(dense, expected_dense)
+
+
 def non_canonical_csr(rng, n=40, F=30):
     """Random CSR rows with negative values and explicit zeros; the second
     copy stores each row's entries in reverse, some split into two
@@ -1070,6 +1119,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{kind} params {match}"):
             model_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "kind, change, key",
+        [
+            ("logistic_regression", lambda d: d["params"]["W"][0].__setitem__(0, math.nan), "W"),
+            ("linear_svm", lambda d: d["params"]["b"].__setitem__(2, math.inf), "b"),
+            ("multinomial_nb", lambda d: d["params"]["feature_log_prob"][1].__setitem__(
+                3, -math.inf), "feature_log_prob"),
+        ],
+        ids=["nan-weight", "infinite-bias", "minus-infinite-log-prob"],
+    )
+    def test_a_non_finite_array_is_refused_naming_its_key(self, kind, change, key):
+        # json writes and reads NaN and Infinity, so a saved model can hold them
+        payload = model_to_dict(train(kind, {}, separable_matrix(seed=23)))
+        change(payload)
+        payload = json.loads(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"{kind} params '{key}': a value is not finite"):
+            model_from_dict(payload)
+
 
 class TestLoadedForestCheck:
     """A model file is outside input: each tree of a loaded forest is checked
@@ -1100,14 +1167,18 @@ class TestLoadedForestCheck:
             (lambda t: t["feature"].__setitem__(0, 6), r"split feature is not below n_features=6"),
             (lambda t: t.pop("left"), r"unreadable node columns \(KeyError\('left'\)\)"),
             (lambda t: t.update(feature="root"), "unreadable node columns"),
+            (lambda t: t["threshold"].__setitem__(0, math.nan), "split threshold is not finite"),
+            (lambda t: t["threshold"].__setitem__(0, -math.inf), "split threshold is not finite"),
         ],
         ids=["cycle", "child-out-of-range", "children-swapped", "right-before-left",
              "leaf-class-not-a-class", "leaf-without-class", "short-threshold", "no-nodes",
-             "feature-out-of-range", "no-left-column", "non-numeric-column"],
+             "feature-out-of-range", "no-left-column", "non-numeric-column", "nan-threshold",
+             "infinite-threshold"],
     )
     def test_a_malformed_tree_is_refused_with_its_index(self, change, match):
         payload = self._payload()
         change(payload["params"]["trees"][1])
+        payload = json.loads(json.dumps(payload))  # json writes and reads NaN and Infinity
         with pytest.raises(ValueError, match=r"random forest tree 1: .*" + match):
             model_from_dict(payload)
 

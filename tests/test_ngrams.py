@@ -15,6 +15,7 @@ from sentigram.ngrams import (
     import_dictionary,
     ngram_idf_weight,
 )
+from sentigram.preprocess import preprocess
 
 
 # --- independent brute-force oracle (no shared code with the implementation) ---
@@ -238,6 +239,18 @@ class TestDictionaryStructure:
         d = build_dictionary(docs, max_n=2, min_freq=2)
         assert d.feature_order == tuple(sorted(d.entries))
         assert all(d.feature_order[i] == p for p, i in d.feature_index.items())
+
+    def test_joined_feature_order_is_sorted(self, tmp_path):
+        # phrase rankings break ties by column, which must be phrase-string
+        # order: preprocessed tokens are [a-z0-9]+, all above the joining space
+        texts = ["a b ab", "a b ab", "a1 a b9 a", "a1 a b9 a", "ab a 0", "ab a 0", "b a", "b a"]
+        d = build_dictionary([preprocess(t) for t in texts], max_n=4, min_freq=2)
+        path = tmp_path / "dict.tsv"
+        export_dictionary(d, path)
+        for dictionary in (d, import_dictionary(path)):
+            joined = [" ".join(p) for p in dictionary.feature_order]
+            assert {"a b", "ab", "a1", "a b ab", "ab a", "ab a 0"} <= set(joined)
+            assert joined == sorted(joined)
 
     def test_fingerprint_is_reproducible_and_content_sensitive(self):
         docs = [["a", "b"], ["a", "b"], ["a"]]

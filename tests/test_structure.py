@@ -2,8 +2,9 @@
 as an attribute of the package, the search (automl) does not depend on the
 experiment driver (evaluation) and its workers return results only, the
 driver reads learners only through their public contract, phrase lookup
-lives in the dictionary (ngrams), each entry point takes one input form, and
-one writer and one reader serve every learner's declared saved arrays."""
+lives in the dictionary (ngrams), each entry point takes one input form,
+one writer and one reader serve every learner's declared saved arrays, a
+forest maps rows to leaves in one place, and phrases are ranked by column."""
 
 import ast
 import importlib
@@ -125,3 +126,20 @@ def test_one_writer_and_one_reader_serve_the_declared_arrays():
 
     assert defining("_from_params") == {"TrainedModel", "RandomForest"}
     assert defining("_params") == {"TrainedModel", "ConstantModel", "RandomForest"}
+
+
+def _definition(module, name):
+    """The module-level class or function ``name`` of a package module."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return next(n for n in tree.body if getattr(n, "name", None) == name)
+
+
+def test_one_leaf_map_and_a_ranking_by_column():
+    # prediction and permutation importance read one leaf map, and a round's
+    # phrases are ranked by a sort over feature columns, not by phrase strings
+    table = _definition("learners.py", "_NodeTable")
+    methods = {f.name for f in table.body if isinstance(f, ast.FunctionDef)}
+    assert "leaves" in methods and "touched" not in methods
+    ranking = _definition("evaluation.py", "top_ngrams_per_class")
+    calls = [ast.unparse(n) for n in ast.walk(ranking) if isinstance(n, ast.Call)]
+    assert [c for c in calls if c.startswith("sorted(")] == []
