@@ -412,7 +412,7 @@ def load_ensemble(path) -> TrainedEnsemble:
             raise ValueError(f"{path}: ensemble member {i}'s model is not a JSON object")
         count = spec["multiplicity"]
         if type(count) is not int:  # bool is a subclass of int and is refused too
-            raise ValueError(f"{path}: ensemble member {i} multiplicity {count!r} is not an int")
+            raise ValueError(f"{path}: ensemble member {i} multiplicity {count!r} is not an integer")
         if count < 1:
             raise ValueError(f"{path}: ensemble member {i} multiplicity {count} is below 1")
         kind = spec["model"].get("kind")

@@ -314,7 +314,8 @@ def top_ngrams_per_class(
     feature attributed to the majority true class among its nonzero training
     rows), and the members' rankings are fused by multiplicity-weighted Borda
     points. ``ensemble`` was fitted on ``training``, which was vectorized
-    against ``dictionary``.
+    against ``dictionary``. Equal points rank in ``feature_order`` (for
+    preprocessed tokens, phrase string order; see the comment below).
     """
     F = len(dictionary)
     if ensemble.fingerprint != dictionary.fingerprint:
@@ -328,10 +329,10 @@ def top_ngrams_per_class(
         if margins is None:  # constant model: no discrimination signal
             continue
         totals[member.model.classes_] += member.multiplicity * _borda_points(margins)
-    # Ties go to the lexicographically first phrase. Columns are in
-    # ``feature_order``, sorted as token tuples, which is also the joined
-    # phrases' string order: tokens are [a-z0-9]+, whose every character
-    # sorts above the joining space. A stable sort keeps equal points there.
+    # Ties go to the first column. Columns are in ``feature_order``, sorted
+    # as token tuples, which is also the joined phrases' string order when
+    # every token character sorts above the joining space: preprocessed
+    # tokens are [a-z0-9]+. A stable sort keeps equal points in that order.
     out: dict[str, list[str]] = {}
     for label, points in zip(LABELS, totals):
         ranked = np.argsort(-points, kind="stable")[: max(k, 0)]

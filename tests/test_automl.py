@@ -505,13 +505,25 @@ class TestFitFinalAndSerialization:
             (lambda d: d.update(members=[]), "no members"),
             (lambda d: d.pop("members"), "no members"),
             (lambda d: d.pop("fingerprint"), "no fingerprint"),
-            (lambda d: d["members"][0].update(multiplicity=0), "member 0 multiplicity 0 is below"),
+            (
+                lambda d: d["members"][0].update(multiplicity=0),
+                "member 0 multiplicity 0 is below 1",
+            ),
             (lambda d: d["members"][0]["model"].update(fingerprint=""), "fingerprint"),
             (lambda d: d["members"][0].pop("model"), "member 0 has no model"),
             (lambda d: d["members"][0].pop("multiplicity"), "member 0 has no multiplicity"),
-            (lambda d: d["members"][0].update(multiplicity=1.5), "member 0 multiplicity 1.5 is not"),
-            (lambda d: d["members"][0].update(multiplicity="2"), "member 0 multiplicity '2' is not"),
-            (lambda d: d["members"][0].update(multiplicity=True), "member 0 multiplicity True is"),
+            (
+                lambda d: d["members"][0].update(multiplicity=1.5),
+                "member 0 multiplicity 1.5 is not an integer",
+            ),
+            (
+                lambda d: d["members"][0].update(multiplicity="2"),
+                "member 0 multiplicity '2' is not an integer",
+            ),
+            (
+                lambda d: d["members"][0].update(multiplicity=True),
+                "member 0 multiplicity True is not an integer",
+            ),
             (
                 lambda d: d["members"][-1]["model"].update(fingerprint="B"),
                 r"member \d+ \(\w+\) has dictionary fingerprint 'B', not the container's",
