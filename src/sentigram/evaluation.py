@@ -10,7 +10,7 @@ are secondary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -111,17 +111,7 @@ class EvalReport:
 
 
 def _metrics_to_dict(metrics: Mapping[str, ClassMetrics]) -> dict:
-    return {
-        label: {
-            "precision": m.precision,
-            "recall": m.recall,
-            "f1": m.f1,
-            "support": m.support,
-            "predicted": m.predicted,
-            "defined": m.defined,
-        }
-        for label, m in metrics.items()
-    }
+    return {label: {**asdict(m), "defined": m.defined} for label, m in metrics.items()}
 
 
 def _feature_matrix(docs, tokens, dictionary: NGramDictionary, scheme: str) -> FeatureMatrix:
@@ -205,8 +195,6 @@ def run_experiment(ds: LabeledDataset, cfg: RunConfig) -> EvalReport:
     round_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.rounds)
 
     rounds_out = []
-    pooled_true: list[int] = []
-    pooled_pred: list[int] = []
     per_round_tops = []
     for r, (train_ids, test_ids) in enumerate(plan.rounds):
         fitted = fit_pipeline([by_id[i] for i in train_ids], cfg, round_seeds[r])
@@ -217,8 +205,6 @@ def run_experiment(ds: LabeledDataset, cfg: RunConfig) -> EvalReport:
         metrics = per_class_prf(cm)
         tops = top_ngrams_per_class(fitted.ensemble, dictionary, cfg.top_ngrams, fitted.training)
         per_round_tops.append(tops)
-        pooled_true.extend(fm_test.y.tolist())
-        pooled_pred.extend(y_pred.tolist())
 
         rounds_out.append(
             {
@@ -251,7 +237,7 @@ def run_experiment(ds: LabeledDataset, cfg: RunConfig) -> EvalReport:
         )
 
     averaged = _average_rounds(rounds_out)
-    pooled_cm = confusion_matrix(pooled_true, pooled_pred)
+    pooled_cm = np.sum([r["confusion"] for r in rounds_out], axis=0)
     pooled_metrics = per_class_prf(pooled_cm)
     payload = {
         "config": cfg.to_dict(),
@@ -314,8 +300,7 @@ def top_ngrams_per_class(
     feature attributed to the majority true class among its nonzero training
     rows), and the members' rankings are fused by multiplicity-weighted Borda
     points. ``ensemble`` was fitted on ``training``, which was vectorized
-    against ``dictionary``. Equal points rank in ``feature_order`` (for
-    preprocessed tokens, phrase string order; see the comment below).
+    against ``dictionary``. Equal points rank in phrase string order.
     """
     F = len(dictionary)
     if ensemble.fingerprint != dictionary.fingerprint:
@@ -329,10 +314,8 @@ def top_ngrams_per_class(
         if margins is None:  # constant model: no discrimination signal
             continue
         totals[member.model.classes_] += member.multiplicity * _borda_points(margins)
-    # Ties go to the first column. Columns are in ``feature_order``, sorted
-    # as token tuples, which is also the joined phrases' string order when
-    # every token character sorts above the joining space: preprocessed
-    # tokens are [a-z0-9]+. A stable sort keeps equal points in that order.
+    # Ties go to the first column: tokens are [a-z0-9]+, all above the joining
+    # space, so columns are in phrase string order, which a stable sort keeps.
     out: dict[str, list[str]] = {}
     for label, points in zip(LABELS, totals):
         ranked = np.argsort(-points, kind="stable")[: max(k, 0)]

@@ -32,7 +32,12 @@ SCHEMES = ("count_x_weight", "binary_x_weight", "count")
 
 @dataclass
 class FeatureMatrix:
-    """A vectorized document set tied to the dictionary that produced it."""
+    """A vectorized document set tied to the dictionary that produced it.
+
+    Rows are canonical CSR (sorted columns, no entry stored twice); the
+    constructor makes them so on a copy, never in the caller's matrix.
+    ``y`` is None or one non-negative integer label per row.
+    """
 
     X: sp.csr_matrix
     y: np.ndarray | None  # label indices aligned with rows, or None for unlabeled text
@@ -42,6 +47,20 @@ class FeatureMatrix:
     def __post_init__(self) -> None:
         if not sp.issparse(self.X) or self.X.ndim != 2:
             raise ValueError(f"expected 2-D scipy sparse rows, got {type(self.X).__name__}")
+        X = self.X.tocsr()
+        if not X.has_canonical_format:
+            X = X.copy() if X is self.X else X
+            X.sum_duplicates()
+        self.X, y, n = X, self.y, X.shape[0]
+        if y is None:
+            return
+        shape = getattr(y, "shape", type(y).__name__)
+        if shape != (n,):
+            raise ValueError(f"expected labels of shape ({n},), one per row, got {shape}")
+        if y.dtype.kind not in "iu":
+            raise ValueError(f"expected integer labels, got dtype {y.dtype}")
+        if n and y.min() < 0:
+            raise ValueError(f"expected non-negative labels, got {y.min()}")
 
     @property
     def n_documents(self) -> int:
@@ -94,7 +113,9 @@ def vectorize(
     X = sp.csr_matrix(
         (data, cols, indptr), shape=(len(token_docs), len(dictionary.feature_order))
     )
-    X.eliminate_zeros()  # a phrase weight can be exactly 0.0
+    if not data.all():  # a phrase weight can be exactly 0.0
+        X.eliminate_zeros()
+    X.has_canonical_format = True  # each row's columns are sorted and unique: spares a scan
     return X
 
 

@@ -11,9 +11,9 @@ Shared contracts:
     margins; forest: vote fractions), and argmax of a row equals ``predict``;
   * argmax ties resolve to the lowest label index;
   * training is deterministic given (kind, hyperparameters, matrix, seed);
-  * rows are a ``FeatureMatrix`` (sparse, as the package builds them) from
-    the dictionary the model was trained against: every entry point that
-    reads rows refuses a matrix with another fingerprint or column count;
+  * rows are a ``FeatureMatrix`` (canonical CSR) from the dictionary the
+    model was trained against: every entry point that reads rows refuses a
+    matrix with another fingerprint or column count;
   * ``class_margins(training)`` is per-class phrase evidence of shape
     (len(classes_), n_features): larger is more indicative of the class,
     ``-inf`` is none; a constant model returns None.
@@ -265,23 +265,12 @@ class MultinomialNB(TrainedModel):
         return _one_vs_best_rest(self.feature_log_prob_)
 
 
-def _canonical_csr(X, copy=False):
-    """X as CSR with sorted column indices and each duplicate entry summed
-    into one. The caller's matrix is never changed: it is returned as is only
-    when it is already canonical and ``copy`` is false."""
-    X = X.tocsr(copy=copy)
-    if not X.has_canonical_format:
-        X = X if copy else X.copy()
-        X.sum_duplicates()
-    return X
-
-
 def _nonnegative(X):
-    """A canonical copy of X with negative values clamped to 0. A clamped
-    entry stays stored as an explicit zero, which adds 0 * log p = -0.0 to a
-    posterior and 0.0 to a count and so changes no bit; duplicate entries are
-    summed before the clamp, as a dense matrix would be."""
-    Xc = _canonical_csr(X, copy=True)
+    """A copy of canonical rows X (a ``FeatureMatrix``'s) with negative values
+    clamped to 0. A clamped entry stays stored as an explicit zero, which adds
+    0 * log p = -0.0 to a posterior and 0.0 to a count and so changes no bit;
+    as no entry is duplicated, each clamp acts on the value a dense matrix has."""
+    Xc = X.copy()
     np.maximum(Xc.data, 0, out=Xc.data)
     return Xc
 
@@ -372,7 +361,6 @@ class _LinearModel(TrainedModel):
     _ARRAYS = (("W_", "kF"), ("b_", "k"))
 
     def _fit(self, X, y):
-        X = X.tocsr()
         k, F = len(self.classes_), self.n_features_
         y_local = np.searchsorted(self.classes_, y)
         l2 = self.hp["l2"]
@@ -538,11 +526,10 @@ class _NodeTable(NamedTuple):
         """The dense (n, len(used)) block of X's ``used`` columns, and the
         row and ``used`` position of each stored entry that lands in it.
 
-        Each stored entry is scattered through ``position``, which is cheaper
-        than scipy's column indexing; duplicate entries are summed first, as
-        a dense conversion would sum them.
+        X is canonical (a ``FeatureMatrix``'s rows or a row slice of them),
+        so each stored entry is one cell; it is scattered through
+        ``position``, which is cheaper than scipy's column indexing.
         """
-        X = _canonical_csr(X)
         at = self.position[X.indices]
         kept = at >= 0
         rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))[kept]
@@ -657,8 +644,8 @@ class RandomForest(TrainedModel):
         thresholds below v (searchsorted, side="left"), so that
         code <= c  <=>  v <= thresholds[c]; training-time splits on codes and
         prediction-time splits on raw values therefore route identically.
+        X is canonical (a ``FeatureMatrix``'s rows): no entry is stored twice.
         """
-        X = _canonical_csr(X)
         n, F = X.shape
         stored = np.bincount(X.indices, minlength=F)
         unstored = np.nonzero((stored > 0) & (stored < n))[0]

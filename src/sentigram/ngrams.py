@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -211,7 +212,8 @@ def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGr
     """Aggregate per-document n-gram statistics, prune, and weight the survivors.
 
     ``docs`` is a sequence of token sequences (training documents only; feeding
-    test documents here leaks evaluation data into the feature space).
+    test documents here leaks evaluation data into the feature space), its
+    tokens in the form ``preprocess`` emits them, ``[a-z0-9]+``.
 
     Counting runs on integer-coded text: every token gets an id, and the
     corpus becomes one flat id array. It is level-wise (Apriori: Agrawal &
@@ -313,8 +315,9 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
     The TSV schema records none of the build's settings, so ``corpus_size``,
     ``max_n`` and ``min_freq`` are None.
     The file must be prefix-closed, as every exported dictionary is: a phrase
-    whose (n-1)-prefix has no line is rejected. A leading UTF-8 byte-order
-    mark is skipped, and a malformed line is refused naming the file and line.
+    whose (n-1)-prefix has no line is rejected, and so is a token other than
+    ``[a-z0-9]+``. A leading UTF-8 byte-order mark is skipped, and a
+    malformed line is refused naming the file and line.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8-sig").splitlines()
@@ -333,6 +336,9 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
             raise ValueError(f"{path}: line {lineno}: non-numeric field ({exc})") from None
         if len(phrase) != n or not all(phrase):
             raise ValueError(f"{path}: line {lineno}: phrase does not match its length field")
+        for token in phrase:  # as preprocess emits them: no other token can match text
+            if not re.fullmatch("[a-z0-9]+", token):
+                raise ValueError(f"{path}: line {lineno}: token {token!r} is not [a-z0-9]+")
         if not 1 <= dfp <= dft or freq < dfp:
             raise ValueError(f"{path}: line {lineno}: inconsistent frequency columns")
         if not math.isfinite(weight):

@@ -183,6 +183,12 @@ class TestSearch:
         for e in by_index[:4]:
             assert e.config.hp == {**DEFAULT_HP[e.config.kind]}
 
+    def test_refuses_labels_that_do_not_fit_the_rows(self):
+        fm = separable_matrix(n_per_class=10, seed=4)
+        with pytest.raises(ValueError, match=r"labels of shape \(30,\), one per row, got \(29,\)"):
+            search(FeatureMatrix(fm.X, fm.y[:-1], fm.fingerprint, fm.scheme), folds=3, seed=0,
+                   max_candidates=4)
+
     def test_leaderboard_sorted_by_score_then_index(self):
         fm = separable_matrix(noise=2.0, seed=5)
         lb = search(fm, folds=3, seed=1, max_candidates=7)

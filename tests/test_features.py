@@ -300,6 +300,68 @@ class TestFeatureMatrix:
         unlabeled = FeatureMatrix(X=X, y=None, fingerprint=d.fingerprint, scheme="count")
         assert unlabeled.subset([1]).y is None
 
+    @pytest.mark.parametrize("form", ["csr", "csc", "coo"])
+    def test_non_canonical_rows_are_summed_on_a_copy(self, form):
+        # row 0 stores column 2 twice and its columns out of order; row 1 is
+        # an explicit zero beside a value
+        data, indices, indptr = [1.5, 4.0, 0.25, -2.0, 0.0, 3.0], [2, 0, 2, 3, 1, 3], [0, 4, 6]
+        X = sp.csr_matrix((data, indices, indptr), shape=(2, 5))
+        raw = X.asformat(form)
+        unchanged = raw.copy()
+        expected = X.copy()
+        expected.sum_duplicates()
+        fm = FeatureMatrix(X=raw, y=None, fingerprint="fp", scheme="count")
+        assert fm.X.format == "csr" and fm.X.has_canonical_format
+        np.testing.assert_array_equal(fm.X.indptr, expected.indptr)
+        np.testing.assert_array_equal(fm.X.indices, expected.indices)
+        np.testing.assert_array_equal(fm.X.data, expected.data)
+        for name in ("data", "indices", "indptr") if form == "csr" else ("data",):
+            np.testing.assert_array_equal(getattr(raw, name), getattr(unchanged, name))
+
+    def test_canonical_rows_are_kept_without_a_copy(self):
+        d, docs = toy_dictionary()
+        for X in (vectorize(docs, d, "count"), vectorize(docs[:1], d, "count"),
+                  sp.csr_matrix(np.eye(3)), sp.csr_matrix((0, 4))):
+            assert FeatureMatrix(X=X, y=None, fingerprint="fp", scheme="count").X is X
+
+    def test_vectorized_rows_are_canonical_by_construction(self):
+        # vectorize marks its rows canonical; a fresh matrix over the same
+        # storage recomputes the flag from the rows themselves
+        rng = np.random.default_rng(29)
+        docs = [[f"t{i}" for i in rng.integers(0, 6, size=rng.integers(0, 30))] for _ in range(40)]
+        d = build_dictionary(docs, max_n=4, min_freq=2)
+        for batch in (docs, docs[:1], docs[3:5]):
+            for scheme in SCHEMES:
+                X = vectorize(batch, d, scheme)
+                fresh = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+                assert fresh.has_canonical_format
+
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            (np.arange(3), r"labels of shape \(4,\), one per row, got \(3,\)"),
+            (np.arange(5), r"labels of shape \(4,\), one per row, got \(5,\)"),
+            (np.zeros((4, 1), dtype=np.int64), r"shape \(4,\), one per row, got \(4, 1\)"),
+            ([0, 1, 2, 0], r"shape \(4,\), one per row, got list"),
+            (np.array([0.0, 1.0, 2.0, 0.0]), "integer labels, got dtype float64"),
+            (np.array([True, False, True, False]), "integer labels, got dtype bool"),
+            (np.array([0, 1, -1, 0]), "non-negative labels, got -1"),
+        ],
+        ids=["short", "long", "2-D", "list", "float", "bool", "negative"],
+    )
+    def test_labels_that_do_not_fit_the_rows_are_refused(self, y, message):
+        X = sp.csr_matrix(np.eye(4))
+        with pytest.raises(ValueError, match=message):
+            FeatureMatrix(X=X, y=y, fingerprint="fp", scheme="count")
+
+    def test_any_non_negative_integer_label_is_accepted(self):
+        for y in (np.array([3, 0, 7, 1]), np.array([0, 1, 2, 0], dtype=np.uint8), None):
+            assert FeatureMatrix(X=sp.csr_matrix(np.eye(4)), y=y, fingerprint="fp",
+                                 scheme="count").y is y
+        empty = FeatureMatrix(X=sp.csr_matrix((0, 4)), y=np.zeros(0, dtype=np.int64),
+                              fingerprint="fp", scheme="count")
+        assert empty.n_documents == 0
+
 
 class TestKnnIndices:
     def test_self_excluded_and_sorted_by_distance(self):
@@ -321,6 +383,11 @@ class TestKnnIndices:
 
 
 class TestSmote:
+    def test_refuses_labels_that_do_not_fit_the_rows(self):
+        fm = random_matrix(np.random.default_rng(31), {0: 20, 1: 10})
+        with pytest.raises(ValueError, match=r"labels of shape \(30,\), one per row, got \(29,\)"):
+            smote_oversample(FeatureMatrix(fm.X, fm.y[:-1], fm.fingerprint, fm.scheme))
+
     def test_balances_to_majority_count(self):
         rng = np.random.default_rng(32)
         fm = random_matrix(rng, {0: 12, 1: 5, 2: 3})

@@ -853,6 +853,7 @@ class TestLeafMap:
                 zero_rows = sp.csr_matrix((4, F))
                 for X in (canonical, shuffled, sp.vstack([zero_rows, shuffled, zero_rows]),
                           zero_rows, sp.csr_matrix((0, F))):
+                    X = probe_matrix(X).X  # the form every row takes before a model reads it
                     leaves, dense = table.leaves(X)
                     expected_dense = table.gather(X)[0]
                     n = expected_dense.shape[0]
@@ -892,7 +893,8 @@ def non_canonical_csr(rng, n=40, F=30):
 
 class TestPredictShortcuts:
     """The forest's column gather and NB's clamp equal the scipy expressions
-    they replace, on canonical and on non-canonical rows."""
+    they replace, on canonical rows and on non-canonical rows once a
+    FeatureMatrix has made them canonical."""
 
     def test_gather_equals_column_indexing(self):
         rng = np.random.default_rng(5)
@@ -908,7 +910,7 @@ class TestPredictShortcuts:
                 expected = rows.tocsr()[:, used]
                 expected.sum_duplicates()  # on a copy: column indexing made one
                 unchanged = rows.copy()
-                got, entry_rows, at = table.gather(rows)
+                got, entry_rows, at = table.gather(probe_matrix(rows).X)
                 assert got.shape == expected.shape
                 np.testing.assert_array_equal(got, expected.toarray())
                 # each stored entry in a used column once, explicit zeros included
@@ -954,6 +956,33 @@ def test_no_entry_point_changes_its_input_rows(kind):
         model.permutation_importance(fm, max_rows=16)
     assert_same_storage(rows, unchanged)
     assert not rows.has_canonical_format
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_refuses_labels_that_do_not_fit_the_rows(kind):
+    # the matrix refuses them when it is made, before any learner reads them
+    fm = separable_matrix(n_per_class=10, seed=16)
+    with pytest.raises(ValueError, match=r"labels of shape \(30,\), one per row, got \(29,\)"):
+        train(kind, fast_hp(kind), FeatureMatrix(fm.X, fm.y[:-1], FP, "count"), seed=0)
+
+
+def test_forest_margins_count_a_duplicated_entry_once():
+    # feature 0 is 1.0 on ten class-1 rows and 3.0 on four class-0 rows, each
+    # of those stored as three duplicate 1.0 entries: the feature's majority
+    # class is 1 (10 rows against 4), and 0 only if each duplicate were a row
+    values = np.r_[np.ones(10), np.full(4, 3.0), np.zeros(8)]
+    y = np.r_[np.ones(10), np.zeros(12)].astype(np.int64)
+    canonical = sp.csr_matrix(values[:, None])
+    indptr = np.r_[0, np.cumsum(np.r_[np.ones(10), np.full(4, 3), np.zeros(8)])].astype(int)
+    raw = sp.csr_matrix((np.ones(22), np.zeros(22, dtype=int), indptr), shape=(22, 1))
+    assert not raw.has_canonical_format and (raw.toarray() == canonical.toarray()).all()
+    hp = {"n_trees": 10, "max_depth": 3, "feature_fraction": 1.0, "bootstrap": False}
+    fm = FeatureMatrix(X=canonical, y=y, fingerprint=FP, scheme="count")
+    model = train("random_forest", hp, fm, seed=0)
+    expected = model.class_margins(fm)
+    assert expected[1, 0] > 0 and expected[0, 0] == -np.inf
+    got = model.class_margins(FeatureMatrix(X=raw, y=y, fingerprint=FP, scheme="count"))
+    np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -402,6 +402,22 @@ class TestExportImport:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 3: non-numeric field"):
             import_dictionary(path)
 
+    @pytest.mark.parametrize("bad, token", [("Good!", "Good!"), ("a\x01", "a\x01"), ("a B", "B")])
+    def test_import_refuses_tokens_preprocess_cannot_emit(self, tmp_path, bad, token):
+        # such a phrase never matches preprocessed text, and its joined form
+        # would not sort with the others ("Good!" < "a" < "a b" < "a\x01" as
+        # token tuples, not as strings)
+        path = tmp_path / "bad.tsv"
+        path.write_text(
+            "phrase\tn\tfreq\tdf_phrase\tdf_terms\tweight\n"
+            f"a\t1\t4\t3\t3\t0.5\n{bad}\t{len(bad.split())}\t2\t2\t2\t0.75\n"
+            "a b\t2\t2\t2\t3\t0.25\nb\t1\t2\t2\t2\t0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as excinfo:
+            import_dictionary(path)
+        assert str(excinfo.value) == f"{path}: line 3: token {token!r} is not [a-z0-9]+"
+
     def test_import_rejects_duplicate_phrase(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text(

@@ -4,7 +4,8 @@ experiment driver (evaluation) and its workers return results only, the
 driver reads learners only through their public contract, phrase lookup
 lives in the dictionary (ngrams), each entry point takes one input form,
 one writer and one reader serve every learner's declared saved arrays, a
-forest maps rows to leaves in one place, and phrases are ranked by column."""
+forest maps rows to leaves in one place, phrases are ranked by column, and
+rows are made canonical in one place (the FeatureMatrix constructor)."""
 
 import ast
 import importlib
@@ -143,3 +144,13 @@ def test_one_leaf_map_and_a_ranking_by_column():
     ranking = _definition("evaluation.py", "top_ngrams_per_class")
     calls = [ast.unparse(n) for n in ast.walk(ranking) if isinstance(n, ast.Call)]
     assert [c for c in calls if c.startswith("sorted(")] == []
+
+
+def test_rows_are_made_canonical_in_one_place():
+    # FeatureMatrix sums duplicate entries once, when it is made; the
+    # learners read its canonical CSR rows as they are
+    canonicalising = {"_canonical_csr", "sum_duplicates", "has_canonical_format"}
+    assert _names("learners.py") & canonicalising == set()
+    assert [c for c in _calls("learners.py") if ".tocsr(" in c] == []
+    called = [c.split("(")[0].split(".")[-1] for c in _calls("features.py")]
+    assert called.count("sum_duplicates") == 1
