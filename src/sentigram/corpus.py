@@ -62,8 +62,9 @@ def load_dataset(path: str | Path, name: str | None = None) -> LabeledDataset:
 
     Text fields may be quoted and contain commas or newlines per standard CSV
     quoting, and a UTF-8 byte-order mark before the header is skipped. Raises
-    DatasetError naming the offending line for malformed rows, empty text, or
-    labels outside the closed set.
+    DatasetError naming the offending line for malformed rows (including a
+    field over the csv module's size limit), empty text, or labels outside the
+    closed set, and naming the file for bytes that are not UTF-8.
     """
     path = Path(path)
     if not path.exists():
@@ -71,13 +72,14 @@ def load_dataset(path: str | Path, name: str | None = None) -> LabeledDataset:
     documents: list[LabeledDocument] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        rows = _rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise DatasetError(f"{path}: empty file, expected a `text,label` header") from None
         if [h.strip().lower() for h in header] != ["text", "label"]:
             raise DatasetError(f"{path}: expected header `text,label`, got {','.join(header)!r}")
-        for row in reader:
+        for row in rows:
             line = reader.line_num
             if not row:
                 continue
@@ -92,6 +94,17 @@ def load_dataset(path: str | Path, name: str | None = None) -> LabeledDataset:
                 raise DatasetError(f"{path}: line {line}: {exc}") from None
             documents.append(LabeledDocument(doc_id=len(documents), text=text, label=label))
     return LabeledDataset(name=name or path.stem, documents=tuple(documents))
+
+
+def _rows(reader, path):
+    """The rows of a ``csv.reader``, with its parse and decoding errors raised
+    as one DatasetError naming ``path`` (and, for a parse error, the line)."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def class_distribution(ds: LabeledDataset) -> dict[str, int]:

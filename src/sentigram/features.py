@@ -24,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._base import MAXPRINT
 
 from .ngrams import NGramDictionary
 
 SCHEMES = ("count_x_weight", "binary_x_weight", "count")
+_INT32_MAX = 2**31 - 1
 
 
 @dataclass
@@ -81,27 +83,63 @@ class FeatureMatrix:
         )
 
 
+def canonical_csr(data, indices, indptr, shape) -> sp.csr_matrix:
+    """Wrap arrays that already form canonical CSR rows as a ``csr_matrix``
+    marked canonical, sharing ``data`` (and the index arrays when their dtype
+    is already the chosen one).
+
+    The caller guarantees what scipy's checked constructor would verify:
+    1-D arrays, ``indptr`` of length rows + 1, starting at 0 and
+    non-decreasing up to ``len(data) == len(indices)``, and each row's columns
+    sorted, unique and below ``shape[1]``. Skipping that constructor's index
+    scan, ``check_format`` and ``prune`` saves about 12 us a call. The index
+    dtype follows scipy's rule for ``(data, indices, indptr)`` input: int64
+    only when a dimension exceeds int32 (a shape with a 0 in it is not
+    counted) or the stored entries do, else int32.
+    """
+    wide = len(data) > _INT32_MAX or (0 not in shape and max(shape) > _INT32_MAX)
+    idx = np.int64 if wide else np.int32
+    X = sp.csr_matrix.__new__(sp.csr_matrix)
+    X.__dict__.update(
+        _shape=shape,
+        maxprint=MAXPRINT,
+        data=data,
+        indices=indices.astype(idx, copy=False),
+        indptr=indptr.astype(idx, copy=False),
+        _has_sorted_indices=True,
+        _has_canonical_format=True,
+    )
+    return X
+
+
 def vectorize(
     token_docs, dictionary: NGramDictionary, scheme: str = "count_x_weight"
 ) -> sp.csr_matrix:
-    """Vectorize pre-tokenized documents; rows in input order.
+    """Vectorize pre-tokenized documents; rows in input order, canonical CSR.
 
     One document is counted by ``phrase_counts``'s walk, two or more by
     ``batch_phrase_counts``'s array passes; both give the same counts. The
     split follows their costs, measured on the benchmark's features-wide
-    dictionary (15.6k phrases, documents of about 19 tokens): the array
-    passes cost about 95 us per call before any document, so one document
-    takes 98 us against 39 us walked; the walk costs about 17 us per
-    document, so 1000 documents take 16.6 ms walked against 4.0 ms in arrays.
+    dictionary (16.1k phrases, documents of about 19 tokens; 2-core x86-64,
+    Python 3.11, numpy 2.4, scipy 1.17): the array passes cost about 100 us
+    per call before any document, so one document takes about 27 us walked
+    (15 us of it counting) against about 105 us in arrays. Each further
+    document costs about 15 us walked and 5-10 us in arrays, so the two cross
+    near 16 documents: a batch of 2-15 would be faster walked (a batch of 2
+    takes about 125 us in arrays), and 1000 documents take about 5.3 ms in
+    arrays against about 15 ms walked.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     token_docs = list(token_docs)
     if len(token_docs) == 1:
         doc_counts = dictionary.phrase_counts(token_docs[0])
-        cols = np.array(sorted(doc_counts), dtype=np.int64)
-        counts = np.array([doc_counts[c] for c in cols.tolist()], dtype=np.int64)
-        indptr = np.array([0, len(cols)], dtype=np.int64)
+        n = len(doc_counts)
+        cols = np.fromiter(doc_counts, dtype=np.int64, count=n)
+        order = cols.argsort()  # the columns are unique, so any sort gives one order
+        cols = cols[order]
+        counts = np.fromiter(doc_counts.values(), dtype=np.int64, count=n)[order]
+        indptr = np.array([0, n], dtype=np.int64)
     else:
         rows, cols, counts = dictionary.batch_phrase_counts(token_docs)
         indptr = np.searchsorted(rows, np.arange(len(token_docs) + 1))
@@ -110,12 +148,9 @@ def vectorize(
         data[:] = 1.0
     if scheme != "count":
         data *= dictionary.weights[cols]
-    X = sp.csr_matrix(
-        (data, cols, indptr), shape=(len(token_docs), len(dictionary.feature_order))
-    )
+    X = canonical_csr(data, cols, indptr, (len(token_docs), len(dictionary.feature_order)))
     if not data.all():  # a phrase weight can be exactly 0.0
         X.eliminate_zeros()
-    X.has_canonical_format = True  # each row's columns are sorted and unique: spares a scan
     return X
 
 

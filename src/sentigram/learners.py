@@ -34,9 +34,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import log_softmax, softmax
+from scipy.special import log_softmax
 
-from .features import FeatureMatrix
+from .features import FeatureMatrix, canonical_csr
 
 KINDS = ("multinomial_nb", "logistic_regression", "linear_svm", "random_forest")
 
@@ -259,20 +259,28 @@ class MultinomialNB(TrainedModel):
         return _nonnegative(self._coerce(fm)) @ self.feature_log_prob_.T + self.class_log_prior_
 
     def predict_scores(self, fm):
-        return softmax(self._log_posterior(fm), axis=1)
+        return _softmax(self._log_posterior(fm))
 
     def _margins(self, training):
         return _one_vs_best_rest(self.feature_log_prob_)
 
 
 def _nonnegative(X):
-    """A copy of canonical rows X (a ``FeatureMatrix``'s) with negative values
-    clamped to 0. A clamped entry stays stored as an explicit zero, which adds
+    """Canonical rows X (a ``FeatureMatrix``'s) with negative values clamped
+    to 0: new values over X's own index arrays, which are shared, not copied.
+    A clamped entry stays stored as an explicit zero, which adds
     0 * log p = -0.0 to a posterior and 0.0 to a count and so changes no bit;
     as no entry is duplicated, each clamp acts on the value a dense matrix has."""
-    Xc = X.copy()
-    np.maximum(Xc.data, 0, out=Xc.data)
-    return Xc
+    return canonical_csr(np.maximum(X.data, 0), X.indices, X.indptr, X.shape)
+
+
+def _softmax(z):
+    """Row-wise softmax of a 2-D array: the three steps of
+    ``scipy.special.softmax(z, axis=1)`` (subtract the row maximum,
+    exponentiate, divide by the row sum), so the bits are the same, without
+    its array-API dispatch (about 13 us against 4 us for a 1 x 3 block)."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_xent_loss_grad(W, b, X, y_local, l2):
@@ -376,7 +384,7 @@ class _LinearModel(TrainedModel):
         self.W_ = theta[k:].reshape(F, k).T  # Fortran order: see MultinomialNB._fit
 
     def predict_scores(self, fm):
-        return softmax(self._coerce(fm) @ self.W_.T + self.b_, axis=1)
+        return _softmax(self._coerce(fm) @ self.W_.T + self.b_)
 
     def _margins(self, training):
         return _one_vs_best_rest(self.W_)

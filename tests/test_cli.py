@@ -511,6 +511,29 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 3" in err
 
+    @pytest.mark.parametrize("command", ["stats", "train", "evaluate"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'text,label\nfine app,positive\n"' + b"a " * 70_000 + b'",negative\n',
+             "line 3: field larger than field limit"),
+            ("text,label\ncaf\xe9 app,positive\n".encode("latin-1"), "not UTF-8 text"),
+        ],
+        ids=["oversized-field", "latin-1"],
+    )
+    def test_unreadable_csv_bytes_exit_2_naming_the_file(
+        self, tmp_path, capsys, command, content, reason
+    ):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        argv = [command, "--data", str(data)]
+        if command != "stats":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {data}: {reason}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_conflicting_budget_flags_exit_2(self, planted_csv, tmp_path, capsys):
         code = main(
             ["train", "--data", planted_csv, "--max-candidates", "2",

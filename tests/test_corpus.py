@@ -1,5 +1,8 @@
 """Dataset ingestion, class counts, and stratified split-plan behavior."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,21 @@ class TestLoadDataset:
         path.write_bytes("\ufefftext,label\ngreat app,positive\n".encode("utf-8"))
         ds = load_dataset(path)
         assert [(d.text, d.label) for d in ds.documents] == [("great app", "positive")]
+
+    def test_field_over_the_csv_size_limit_names_file_and_line(self, tmp_path):
+        # the csv module refuses a field over its process-wide limit (131072
+        # characters by default); the reader reports it and leaves the limit be
+        limit = csv.field_size_limit()
+        path = write_csv(tmp_path, ["ok,positive", '"' + "a " * limit + '",negative'])
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: line 3: field larger"):
+            load_dataset(path)
+        assert csv.field_size_limit() == limit
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("text,label\ncaf\xe9 app,positive\n".encode("latin-1"))
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: not UTF-8 text: .*0xe9"):
+            load_dataset(path)
 
     def test_explicit_name_overrides_stem(self, tmp_path):
         path = write_csv(tmp_path, ["ok,positive"])

@@ -11,6 +11,7 @@ from sentigram.features import (
     SCHEMES,
     FeatureMatrix,
     _knn_indices,
+    canonical_csr,
     smote_oversample,
     vectorize,
 )
@@ -361,6 +362,67 @@ class TestFeatureMatrix:
         empty = FeatureMatrix(X=sp.csr_matrix((0, 4)), y=np.zeros(0, dtype=np.int64),
                               fingerprint="fp", scheme="count")
         assert empty.n_documents == 0
+
+
+def assert_as_checked(X, data, indices, indptr, shape):
+    """X is what scipy's checked constructor makes of the same arrays: the
+    same storage, index dtype, shape, repr and (scanned) canonical flags."""
+    ref = sp.csr_matrix((data, indices, indptr), shape=shape)
+    assert type(X) is type(ref) and X.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        mine, theirs = getattr(X, name), getattr(ref, name)
+        assert mine.dtype == theirs.dtype, name
+        np.testing.assert_array_equal(mine, theirs)
+    assert ref.has_sorted_indices and ref.has_canonical_format  # scipy's own scan
+    assert X.has_sorted_indices and X.has_canonical_format  # set without one
+    assert vars(X).keys() == vars(ref).keys() and repr(X) == repr(ref)
+
+
+class TestCanonicalCsr:
+    """The row builder wraps valid arrays the way scipy's checked constructor
+    does, on the installed scipy, without its checks."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_vectorized_rows_equal_the_checked_constructor(self, scheme):
+        rng = np.random.default_rng(31)
+        vocab = [f"t{i}" for i in range(6)]
+        docs = [
+            ["every"] + [vocab[i] for i in rng.integers(0, 6, size=rng.integers(0, 18))]
+            for _ in range(15)
+        ]
+        d = build_dictionary(docs, max_n=4, min_freq=2)
+        assert d.entries[("every",)].weight == 0.0  # its entries go through eliminate_zeros
+        for batch in (docs, docs[:1], docs[4:6], [[]], [], [[], docs[0]]):
+            X = vectorize(batch, d, scheme)
+            data, indices, indptr = reference_vectorize(batch, d, scheme)
+            # vectorize held int64 index arrays before wrapping them
+            assert_as_checked(
+                X, data, indices.astype(np.int64), indptr.astype(np.int64), (len(batch), len(d))
+            )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(0, 0), (1, 0), (3, 7), (1, 2**31 - 1), (1, 2**31), (2, 2**31 + 5), (0, 2**31 + 5)],
+    )
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_index_dtype_follows_scipys_rule(self, shape, index_dtype):
+        # empty rows, so shapes past int32's range allocate nothing; a 0 in the
+        # shape keeps int32 whatever the other dimension is
+        indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
+        indices = np.zeros(0, dtype=index_dtype)
+        X = canonical_csr(np.zeros(0), indices, indptr, shape)
+        assert_as_checked(X, np.zeros(0), indices, indptr, shape)
+        wide = 0 not in shape and max(shape) > 2**31 - 1
+        assert X.indices.dtype == (np.int64 if wide else np.int32)
+
+    def test_shares_the_arrays_it_need_not_convert(self):
+        data = np.array([1.0, -2.0, 3.0])
+        indices = np.array([0, 4, 1], dtype=np.int32)
+        indptr = np.array([0, 2, 3], dtype=np.int32)
+        X = canonical_csr(data, indices, indptr, (2, 5))
+        assert X.data is data and X.indices is indices and X.indptr is indptr
+        assert_as_checked(X, data, indices, indptr, (2, 5))
+        np.testing.assert_array_equal(X.toarray(), [[1.0, 0, 0, 0, -2.0], [0, 3.0, 0, 0, 0]])
 
 
 class TestKnnIndices:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.special
 
 from sentigram.features import FeatureMatrix
 from sentigram.learners import (
@@ -18,7 +19,9 @@ from sentigram.learners import (
     RandomForest,
     _NodeTable,
     _Tree,
+    _nonnegative,
     _one_vs_best_rest,
+    _softmax,
     default_hp,
     model_from_dict,
     model_to_dict,
@@ -158,6 +161,23 @@ class TestMultinomialNB:
         clamped = probe_matrix(sp.csr_matrix(np.asarray([[1.0, 0.0]])))
         np.testing.assert_allclose(a.predict_scores(probe), b.predict_scores(clamped), atol=1e-15)
 
+    def test_clamp_shares_the_index_arrays_and_leaves_the_rows_be(self):
+        # the clamped rows are new values over the caller's own index arrays,
+        # equal in every array and dtype to the copy-and-clamp they replace
+        rows = sp.csr_matrix(np.asarray([[2.0, -1.0, 0.0], [-0.5, 0.0, 3.0]]))
+        X = probe_matrix(rows).X
+        before = X.copy()
+        clamped = _nonnegative(X)
+        assert clamped.indices is X.indices and clamped.indptr is X.indptr
+        assert clamped.has_canonical_format
+        reference = X.copy()
+        np.maximum(reference.data, 0, out=reference.data)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(clamped, name).dtype == getattr(reference, name).dtype
+        assert_same_storage(clamped, reference)
+        assert_same_storage(X, before)
+        assert clamped.shape == X.shape and clamped.data.tolist() == [2.0, 0.0, 0.0, 3.0]
+
     def test_prior_reflects_class_imbalance(self):
         X = sp.csr_matrix(np.ones((4, 1)))
         fm = FeatureMatrix(X=X, y=np.asarray([0, 0, 0, 2]), fingerprint=FP, scheme="count")
@@ -219,6 +239,30 @@ class TestSoftmaxGradient:
         y = rng.integers(0, 3, size=9)
         loss, _, _ = softmax_xent_loss_grad(np.zeros((3, 4)), np.zeros(3), X, y, 0.0)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
+
+
+class TestSoftmax:
+    """The learners' row softmax is scipy's, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.random.default_rng(3).normal(0.0, 4.0, size=(50, 3)),
+            np.random.default_rng(4).normal(0.0, 1.0, size=(7, 1)),
+            np.random.default_rng(5).uniform(-700.0, 700.0, size=(40, 4)),
+            np.asarray([[700.0, -700.0, 0.0], [-700.0, -699.5, -701.0], [709.0, 708.0, -745.0]]),
+            np.full((4, 3), 2.5),
+            np.zeros((2, 5)),
+            np.zeros((0, 3)),
+        ],
+        ids=["random", "one-class", "margins-700", "extremes", "equal", "zeros", "no-rows"],
+    )
+    def test_equals_scipys_softmax(self, z):
+        before = z.copy()
+        got, expected = _softmax(z), scipy.special.softmax(z, axis=1)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(z, before)
 
 
 class TestSquaredHingeGradient:

@@ -4,8 +4,10 @@ experiment driver (evaluation) and its workers return results only, the
 driver reads learners only through their public contract, phrase lookup
 lives in the dictionary (ngrams), each entry point takes one input form,
 one writer and one reader serve every learner's declared saved arrays, a
-forest maps rows to leaves in one place, phrases are ranked by column, and
-rows are made canonical in one place (the FeatureMatrix constructor)."""
+forest maps rows to leaves in one place, phrases are ranked by column,
+rows are made canonical in one place (the FeatureMatrix constructor), CSR
+rows are wrapped from their arrays in one place (``canonical_csr``), and the
+learners' softmax is their own."""
 
 import ast
 import importlib
@@ -154,3 +156,34 @@ def test_rows_are_made_canonical_in_one_place():
     assert [c for c in _calls("learners.py") if ".tocsr(" in c] == []
     called = [c.split("(")[0].split(".")[-1] for c in _calls("features.py")]
     assert called.count("sum_duplicates") == 1
+
+
+def test_csr_rows_are_wrapped_from_arrays_in_one_place():
+    # no module hands (data, indices, indptr) to scipy's checked constructor;
+    # canonical_csr is the one place that makes a CSR matrix from arrays
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        wrapping = [
+            ast.unparse(n)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and ast.unparse(n.func).split(".")[-1] in {"csr_matrix", "csr_array", "__new__"}
+        ]
+        expected = ["sp.csr_matrix.__new__(sp.csr_matrix)"] if path.name == "features.py" else []
+        assert wrapping == expected, f"{path.name}: {wrapping}"
+    builder = _definition("features.py", "canonical_csr")
+    assert any(ast.unparse(n) == "sp.csr_matrix.__new__(sp.csr_matrix)" for n in ast.walk(builder))
+
+
+def test_learners_take_no_softmax_from_scipy():
+    # scipy's softmax dispatches on the array API on every call; the learners
+    # compute the same three steps themselves (log_softmax stays in the loss)
+    tree = ast.parse((PACKAGE / "learners.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in _imports(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.special")
+        for alias in node.names
+    }
+    assert "softmax" not in imported and "log_softmax" in imported
+    assert "softmax" not in _names("learners.py")  # nor as scipy.special.softmax
