@@ -51,6 +51,8 @@ from .metrics import weighted_f1_labels
 _ENSEMBLE_FORMAT = "sentigram-ensemble/1"
 # wall-clock search allowance when neither budget is given
 DEFAULT_BUDGET_SECONDS = 60.0
+# the classes_ of a model that observed every label: its scores are summed in place
+_EVERY_LABEL = list(range(len(LABELS)))
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,7 @@ def search(
         raise ValueError("budget_seconds must be positive")
     if fm.y is None:
         raise ValueError("search requires labels")
+    _refuse_unknown_labels(fm.y)
     class_sizes = np.unique(fm.y, return_counts=True)[1]
     if len(class_sizes) and class_sizes.max() < 2:
         raise ValueError(
@@ -279,6 +282,15 @@ def search(
         )
     entries.sort(key=lambda e: (-e.score, e.index))
     return Leaderboard(entries=entries, y=fm.y, fingerprint=fm.fingerprint)
+
+
+def _refuse_unknown_labels(y: np.ndarray) -> None:
+    """Refuse a label that is not a position in ``LABELS``: out-of-fold
+    archives and ensemble sums place each class's scores at its label."""
+    if y.size and y.max() >= len(LABELS):
+        raise ValueError(
+            f"label {y.max()} is not one of the {len(LABELS)} labels 0..{len(LABELS) - 1}"
+        )
 
 
 def export_leaderboard(lb: Leaderboard, path) -> None:
@@ -343,7 +355,12 @@ class EnsembleMember:
 
 @dataclass
 class TrainedEnsemble:
-    """Refit ensemble: argmax of the multiplicity-weighted mean of class scores."""
+    """Refit ensemble: argmax of the multiplicity-weighted mean of class scores.
+
+    Members are summed in order. A member whose ``classes_`` are every label
+    adds its scores in place; another adds them at its classes' columns. Both
+    make the same additions, so the sums do not depend on which form ran.
+    """
 
     members: list[EnsembleMember]
     fingerprint: str
@@ -353,8 +370,11 @@ class TrainedEnsemble:
         total = np.zeros((fm.n_documents, len(LABELS)))
         weight = 0
         for member in self.members:
-            scores = member.model.predict_scores(fm)
-            total[:, member.model.classes_] += member.multiplicity * scores
+            scores = member.multiplicity * member.model.predict_scores(fm)
+            if member.model.classes_.tolist() == _EVERY_LABEL:
+                total += scores
+            else:
+                total[:, member.model.classes_] += scores
             weight += member.multiplicity
         return total / weight
 
@@ -366,6 +386,8 @@ def fit_final(selection: EnsembleSelection, fm: FeatureMatrix) -> TrainedEnsembl
     """Retrain each selected config on the full training matrix."""
     if fm.fingerprint != selection.fingerprint:
         raise ValueError("refit matrix does not match the matrix the ensemble was selected on")
+    if fm.y is not None:  # train refuses unlabeled rows
+        _refuse_unknown_labels(fm.y)
     members = [
         EnsembleMember(model=train(c.kind, c.hp, fm, seed=c.seed), multiplicity=m)
         for c, m in selection.members

@@ -15,6 +15,7 @@ from sentigram import automl
 from sentigram.automl import (
     CandidateConfig,
     EnsembleMember,
+    EnsembleSelection,
     Leaderboard,
     LeaderboardEntry,
     TrainedEnsemble,
@@ -188,6 +189,16 @@ class TestSearch:
         with pytest.raises(ValueError, match=r"labels of shape \(30,\), one per row, got \(29,\)"):
             search(FeatureMatrix(fm.X, fm.y[:-1], fm.fingerprint, fm.scheme), folds=3, seed=0,
                    max_candidates=4)
+
+    def test_refuses_a_label_outside_the_labels_before_the_first_candidate(
+        self, monkeypatch, pools
+    ):
+        calls = []
+        monkeypatch.setattr(automl, "evaluate_candidate", lambda *a, **k: calls.append(a))
+        fm = separable_matrix(n_per_class=6, classes=(0, 1, 3))
+        with pytest.raises(ValueError, match=r"^label 3 is not one of the 3 labels 0\.\.2$"):
+            search(fm, folds=3, seed=0, max_candidates=4)
+        assert calls == [] and pools == []
 
     def test_leaderboard_sorted_by_score_then_index(self):
         fm = separable_matrix(noise=2.0, seed=5)
@@ -486,6 +497,39 @@ class TestFitFinalAndSerialization:
         other = FeatureMatrix(X=fm.X, y=fm.y, fingerprint="other", scheme="count")
         with pytest.raises(ValueError, match="does not match"):
             fit_final(sel, other)
+
+    def test_refit_refuses_a_label_outside_the_labels(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(automl, "train", lambda *a, **k: calls.append(a))
+        fm = separable_matrix(classes=(0, 1, 3))
+        selection = EnsembleSelection(
+            members=[(CandidateConfig(kind, {}), 1) for kind in KINDS], oof_trajectory=[0.5],
+            fingerprint=FP,
+        )
+        with pytest.raises(ValueError, match=r"^label 3 is not one of the 3 labels 0\.\.2$"):
+            fit_final(selection, fm)
+        assert calls == []
+
+    def test_members_missing_a_class_sum_as_the_indexed_reference(self):
+        # full-class members are added in place, the others at their
+        # classes' columns; the sums equal indexed adds in member order
+        full, partial = separable_matrix(noise=2.0, seed=9), separable_matrix(
+            noise=2.0, seed=9, classes=(0, 2)
+        )
+        members = [
+            EnsembleMember(train("linear_svm", {}, full), 3),
+            EnsembleMember(train("multinomial_nb", {}, partial), 2),
+            EnsembleMember(train("random_forest", {"n_trees": 10}, full, seed=1), 1),
+            EnsembleMember(train("logistic_regression", {}, partial), 5),
+            EnsembleMember(train("multinomial_nb", {}, full), 1),
+        ]
+        assert [m.model.classes_.tolist() for m in members][:2] == [[0, 1, 2], [0, 2]]
+        ensemble = TrainedEnsemble(members=members, fingerprint=FP)
+        for fm in (full, FeatureMatrix(full.X[:1], None, FP, "count")):
+            total = np.zeros((fm.n_documents, 3))
+            for m in members:
+                total[:, m.model.classes_] += m.multiplicity * m.model.predict_scores(fm)
+            np.testing.assert_array_equal(ensemble.predict_scores(fm), total / 12)
 
     def test_ensemble_roundtrip(self, tmp_path):
         fm, _, ensemble = self._pipeline()

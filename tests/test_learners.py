@@ -1,15 +1,18 @@
 """Classifier portfolio: hyperparameter space, each learner's math, shared
 predict contract, determinism, and the JSON serialization round-trip."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.special
 
-from sentigram.features import FeatureMatrix
+from sentigram.automl import EnsembleMember, TrainedEnsemble
+from sentigram.features import FeatureMatrix, vectorize
 from sentigram.learners import (
     DEFAULT_HP,
     HP_SPACE,
@@ -31,6 +34,8 @@ from sentigram.learners import (
     train,
     validate_hp,
 )
+from sentigram.ngrams import build_dictionary
+from sentigram.preprocess import load_stoplist, preprocess
 
 FP = "fingerprint-of-test-dictionary"
 
@@ -59,6 +64,23 @@ def separable_matrix(n_per_class=8, noise=0.05, seed=0, classes=(0, 1, 2)):
             labels.append(c)
     X = sp.csr_matrix(np.asarray(rows))
     return FeatureMatrix(X=X, y=np.asarray(labels, dtype=np.int64), fingerprint=FP, scheme="count")
+
+
+def se_like_rows(n_train, n_test, seed):
+    """Labeled phrase-IDF rows of the benchmark's SE-like corpus: training
+    rows and held-out rows vectorized against the training dictionary."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = workloads.se_like_documents(n_train + n_test, seed)
+    stoplist = load_stoplist()
+    tokens = [preprocess(text, stoplist) for text, _ in docs]
+    y = np.array([workloads.LABELS.index(label) for _, label in docs])
+    dictionary = build_dictionary(tokens[:n_train], max_n=10, min_freq=2)
+    X = vectorize(tokens, dictionary, "count_x_weight")
+    return (X[:n_train], y[:n_train]), (X[n_train:], y[n_train:])
 
 
 def fast_hp(kind):
@@ -769,30 +791,34 @@ class TestPackedForest:
         assert model._table.used.size == 0 and model._table.depth == 0
         assert all(len(t.feature) == 1 for t in model.trees_)
         probe = sp.csr_matrix(np.eye(3, 5))
-        np.testing.assert_array_equal(
-            model.predict_scores(probe_matrix(probe)), reference_votes(model, probe.toarray()) / 10
-        )
+        votes = reference_votes(model, probe.toarray())
+        np.testing.assert_array_equal(model.predict_scores(probe_matrix(probe)), votes / 10)
+        for i in range(3):  # one row is walked
+            np.testing.assert_array_equal(
+                model.predict_scores(probe_matrix(probe[i])), votes[i : i + 1] / 10
+            )
         np.testing.assert_array_equal(model.permutation_importance(fm), np.zeros(5))
         margins = model.class_margins(fm)
         assert margins.shape == (3, 5) and np.all(margins == -np.inf)
 
 
 class TestZeroPathRouting:
-    """Rows start from each tree's zero-path vote; only the (row, tree) pairs
-    a stored entry can divert are routed, and the scores equal the per-tree
-    walk's."""
+    """Rows start from each tree's zero-path vote; only the trees whose zero
+    path tests a column a row stores are visited (walked for one row, routed
+    for a batch), and the scores equal the per-tree walk's."""
 
     @staticmethod
-    def _forest(seed=40, n=80, F=30):
+    def _forest(seed=40, n=80, F=30, labels=4):
         """A deep forest on signed rows, two of its trees replaced by single
         leaves through the loading path, and non-canonical probe rows: some
         duplicate, explicit zeros, negative values and three rows storing
-        nothing."""
+        nothing. Its training labels are 0..3, or folded into 0..labels-1."""
         rng = np.random.default_rng(seed)
         train_rows, _ = non_canonical_csr(rng, n=n, F=F)
         y = (train_rows[:, :3].toarray().sum(axis=1) > 0).astype(np.int64) + 2 * (
             np.arange(n) % 3 == 0
         )
+        y %= labels
         fm = FeatureMatrix(X=train_rows, y=y, fingerprint=FP, scheme="count")
         hp = {"n_trees": 12, "max_depth": 20, "feature_fraction": 0.5, "bootstrap": True}
         payload = model_to_dict(train("random_forest", hp, fm, seed=seed))
@@ -823,41 +849,128 @@ class TestZeroPathRouting:
             assert forest.predict_scores(probe_matrix(empty)).shape == (0, len(forest.classes_))
 
     def test_batch_scores_equal_row_by_row_scores(self):
+        # one row is walked and a batch routed in lock step: the forest, its
+        # reloaded copy and an ensemble holding it score each row alike
         model, probe = self._forest(seed=41)
-        batch = model.predict_scores(probe_matrix(probe))
-        for i in range(probe.shape[0]):
-            single = model.predict_scores(probe_matrix(probe[i]))
-            np.testing.assert_array_equal(single, batch[i : i + 1])
+        forest, _ = self._forest(seed=41, labels=3)
+        labeled = FeatureMatrix(X=probe, y=np.arange(probe.shape[0]) % 3, fingerprint=FP,
+                                scheme="count")
+        ensemble = TrainedEnsemble(
+            members=[EnsembleMember(forest, 2),
+                     EnsembleMember(train("multinomial_nb", {}, labeled), 1),
+                     EnsembleMember(train("logistic_regression", {}, labeled), 1)],
+            fingerprint=FP,
+        )
+        for scorer in (model, json_roundtrip(model), ensemble):
+            batch = scorer.predict_scores(probe_matrix(probe))
+            for i in range(probe.shape[0]):
+                single = scorer.predict_scores(probe_matrix(probe[i]))
+                np.testing.assert_array_equal(single, batch[i : i + 1])
+
+    def test_a_trained_forest_scores_se_like_rows_one_at_a_time_as_in_a_batch(self):
+        (X, y), (held_out, _) = se_like_rows(300, 120, seed=3)
+        fm = FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count_x_weight")
+        ensemble = TrainedEnsemble(
+            members=[
+                EnsembleMember(train(kind, {}, fm, seed=i), 1) for i, kind in enumerate(KINDS)
+            ],
+            fingerprint=FP,
+        )
+        forest = ensemble.members[-1].model
+        for scorer in (forest, ensemble):
+            batch = scorer.predict_scores(probe_matrix(held_out))
+            for i in range(held_out.shape[0]):
+                single = scorer.predict_scores(probe_matrix(held_out[i]))
+                np.testing.assert_array_equal(single, batch[i : i + 1])
+        np.testing.assert_array_equal(
+            forest.predict_scores(probe_matrix(held_out)),
+            reference_votes(forest, held_out.toarray()) / forest.hp["n_trees"],
+        )
+        _, diverting, _ = forest._table.diverted(held_out)
+        assert len(set(diverting.tolist())) > 20  # rows whose walk leaves a zero path
+
+    @staticmethod
+    def _spy_on_visits(monkeypatch):
+        """The (row, tree) pairs routed or walked from here on, in a list."""
+        visited = []
+        route, descend = _NodeTable.route, _NodeTable.descend
+
+        def spy_route(table, dense, rows, trees):
+            visited.extend(zip(rows.tolist(), trees.tolist()))
+            return route(table, dense, rows, trees)
+
+        def spy_descend(table, row, node):
+            visited.append((0, node))  # a walk starts at the tree's root
+            return descend(table, row, node)
+
+        monkeypatch.setattr(_NodeTable, "route", spy_route)
+        monkeypatch.setattr(_NodeTable, "descend", spy_descend)
+        return visited
+
+    @staticmethod
+    def _zero_path_trees(model):
+        """Per feature, the trees whose zero path tests it, read off the
+        saved trees."""
+        trees = [set() for _ in range(model.n_features_)]
+        for t, tree in enumerate(model.trees_):
+            node = 0
+            while tree.feature[node] >= 0:
+                trees[tree.feature[node]].add(t)
+                node = tree.left[node] if 0.0 <= tree.threshold[node] else tree.right[node]
+        return trees
 
     def test_only_pairs_a_stored_entry_touches_are_routed(self, monkeypatch):
         model, probe = self._forest(seed=42)
-        routed = []
-        route = _NodeTable.route
-
-        def spy(table, dense, rows, trees):
-            routed.append(len(rows))
-            return route(table, dense, rows, trees)
-
-        monkeypatch.setattr(_NodeTable, "route", spy)
+        visited = self._spy_on_visits(monkeypatch)
         F = probe.shape[1]
-        zero_rows = sp.csr_matrix((5, F))
-        np.testing.assert_array_equal(
-            model.predict_scores(probe_matrix(zero_rows)),
-            reference_votes(model, zero_rows.toarray()) / 12,
-        )
-        assert sum(routed) == 0
-        splitting = [{int(f) for f in t.feature if f >= 0} for t in model.trees_]
-        trees_per_feature = [sum(f in s for s in splitting) for f in range(F)]
-        assert 0 in trees_per_feature and max(trees_per_feature) > 1
-        for f, k in enumerate(trees_per_feature):
+        for zero_rows in (sp.csr_matrix((5, F)), sp.csr_matrix((1, F))):
+            np.testing.assert_array_equal(
+                model.predict_scores(probe_matrix(zero_rows)),
+                reference_votes(model, zero_rows.toarray()) / 12,
+            )
+        assert visited == []
+        splitting = [{t for t, tree in enumerate(model.trees_) if f in tree.feature}
+                     for f in range(F)]
+        on_zero_path = self._zero_path_trees(model)
+        assert 0 in map(len, on_zero_path) and max(map(len, on_zero_path)) > 1
+        assert all(z <= s for z, s in zip(on_zero_path, splitting))
+        assert sum(map(len, on_zero_path)) < sum(map(len, splitting))
+        for f, trees in enumerate(on_zero_path):
             for value in (-1.5, 0.0, 2.0):
-                routed.clear()
                 row = sp.csr_matrix(([value], ([0], [f])), shape=(1, F))
-                np.testing.assert_array_equal(
-                    model.predict_scores(probe_matrix(row)),
-                    reference_votes(model, row.toarray()) / 12,
-                )
-                assert sum(routed) == k
+                # alone it is walked; below an all-zero row it is routed
+                for X, at in ((row, 0), (sp.vstack([sp.csr_matrix((1, F)), row]), 1)):
+                    visited.clear()
+                    np.testing.assert_array_equal(
+                        model.predict_scores(probe_matrix(X)),
+                        reference_votes(model, X.toarray()) / 12,
+                    )
+                    assert sorted(visited) == [(at, t) for t in sorted(trees)]
+
+    def test_a_row_storing_only_columns_off_every_zero_path_gets_the_zero_path_votes(
+        self, monkeypatch
+    ):
+        model, _ = self._forest(seed=43)
+        F = model.n_features_
+        on_zero_path = self._zero_path_trees(model)
+        # columns the forest splits on, but on no tree's zero path
+        off = [f for f in model._table.used.tolist() if not on_zero_path[f]]
+        assert len(off) >= 2
+        zero_votes = reference_votes(model, np.zeros((1, F)))
+        # every value a split on those columns tests, and values on both sides
+        thresholds = [thr for tree in model.trees_
+                      for f, thr in zip(tree.feature, tree.threshold) if f in off]
+        rows = np.zeros((len(thresholds) + 2, F))
+        rows[:-2, off] = np.array(thresholds)[:, None]
+        rows[-2, off], rows[-1, off] = -1e6, 1e6
+        zero_path_votes = np.tile(zero_votes, (len(rows), 1))
+        np.testing.assert_array_equal(reference_votes(model, rows), zero_path_votes)
+        visited = self._spy_on_visits(monkeypatch)
+        X = sp.csr_matrix(rows)
+        np.testing.assert_array_equal(model.predict_scores(probe_matrix(X)), zero_path_votes / 12)
+        for i in range(len(rows)):
+            np.testing.assert_array_equal(model.predict_scores(probe_matrix(X[i])), zero_votes / 12)
+        assert visited == []
 
 
 class TestLeafMap:

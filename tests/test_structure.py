@@ -138,11 +138,29 @@ def _definition(module, name):
 
 
 def test_one_leaf_map_and_a_ranking_by_column():
-    # prediction and permutation importance read one leaf map, and a round's
-    # phrases are ranked by a sort over feature columns, not by phrase strings
+    # _NodeTable holds the forest's two routes: the batch leaf map (leaves
+    # and votes, routing in lock step) and the one-document walk (walk and
+    # descend); nothing else in learners.py compares a value with a split
+    # threshold, and permutation importance starts from the batch leaf map.
+    # A round's phrases are ranked by a sort over feature columns, not by
+    # phrase strings.
     table = _definition("learners.py", "_NodeTable")
     methods = {f.name for f in table.body if isinstance(f, ast.FunctionDef)}
-    assert "leaves" in methods and "touched" not in methods
+    assert {"leaves", "votes", "route", "walk", "descend"} <= methods
+    assert "touched" not in methods
+    routing = {
+        (scope.name, f.name)
+        for scope in ast.parse((PACKAGE / "learners.py").read_text(encoding="utf-8")).body
+        for f in (scope.body if isinstance(scope, ast.ClassDef) else [scope])
+        if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+        if isinstance(n, ast.Compare) and "threshold" in ast.unparse(n)
+    }
+    assert routing == {("_NodeTable", "pack"), ("_NodeTable", "route"), ("_NodeTable", "descend")}
+    forest = _definition("learners.py", "RandomForest")
+    importance = next(f for f in forest.body if getattr(f, "name", "") == "permutation_importance")
+    calls = [ast.unparse(n) for n in ast.walk(importance) if isinstance(n, ast.Call)]
+    assert "table.leaves(X)" in calls
     ranking = _definition("evaluation.py", "top_ngrams_per_class")
     calls = [ast.unparse(n) for n in ast.walk(ranking) if isinstance(n, ast.Call)]
     assert [c for c in calls if c.startswith("sorted(")] == []
