@@ -291,6 +291,11 @@ def softmax_xent_loss_grad(W, b, X, y_local, l2):
     objective ``SoftmaxRegression`` minimizes; it is exposed so the gradient
     can be checked against finite differences.
     """
+    return _softmax_xent(W, b, X, X.T, y_local, l2)
+
+
+def _softmax_xent(W, b, X, XT, y_local, l2):
+    """``softmax_xent_loss_grad`` given ``XT``, X's transpose, which a fit builds once."""
     n = len(y_local)
     rows = np.arange(n)
     log_probs = log_softmax(X @ W.T + b, axis=1)
@@ -298,7 +303,7 @@ def softmax_xent_loss_grad(W, b, X, y_local, l2):
     delta = np.exp(log_probs)  # the mean loss's gradient with respect to the logits
     delta[rows, y_local] -= 1.0
     delta /= n
-    return loss, (X.T @ delta).T + l2 * W, delta.sum(axis=0)
+    return loss, (XT @ delta).T + l2 * W, delta.sum(axis=0)
 
 
 def squared_hinge_loss_grad(W, b, X, y_local, l2):
@@ -309,12 +314,22 @@ def squared_hinge_loss_grad(W, b, X, y_local, l2):
     primal), summed over classes and averaged over rows. ``LinearSVMOvR``
     minimizes it; arguments and returns are ``softmax_xent_loss_grad``'s.
     """
-    n, k = len(y_local), len(b)
-    Y = np.where(np.arange(k) == y_local[:, None], 1.0, -1.0)
+    return _squared_hinge(W, b, X, X.T, _signs(y_local, len(b)), l2)
+
+
+def _signs(y_local, k):
+    """The one-vs-rest targets, (n, k): +1 in each row's own class, -1 elsewhere."""
+    return np.where(np.arange(k) == y_local[:, None], 1.0, -1.0)
+
+
+def _squared_hinge(W, b, X, XT, Y, l2):
+    """``squared_hinge_loss_grad`` given ``XT``, X's transpose, and ``Y``, the
+    ``_signs`` table of the labels, which a fit builds once each."""
+    n = len(Y)
     slack = np.maximum(0.0, 1.0 - Y * (X @ W.T + b))
     loss = np.sum(slack * slack) / n + 0.5 * l2 * np.sum(W * W)
     delta = (-2.0 / n) * Y * slack
-    return loss, (X.T @ delta).T + l2 * W, delta.sum(axis=0)
+    return loss, (XT @ delta).T + l2 * W, delta.sum(axis=0)
 
 
 def _dot(a, b):
@@ -327,16 +342,16 @@ def _lbfgs(fun, x):
     (Liu & Nocedal, Math. Programming 1989) with Armijo backtracking; stop
     early when a step lowers the value by less than ``_LBFGS_REL_DECREASE``."""
     f, g = fun(x)
-    pairs = collections.deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / y.s), oldest first
+    pairs = collections.deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / y.s, y.y), oldest first
     for _ in range(_LBFGS_MAX_ITER):
         # two-loop recursion: q = H g, H starting from the newest pair's s.y / y.y
         q, alphas = g.copy(), []
-        for s, y, rho in reversed(pairs):
+        for s, y, rho, _ in reversed(pairs):
             alphas.append(rho * _dot(s, q))
             q -= alphas[-1] * y
         if pairs:
-            q /= pairs[-1][2] * _dot(pairs[-1][1], pairs[-1][1])
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q /= pairs[-1][2] * pairs[-1][3]
+        for (s, y, rho, _), alpha in zip(pairs, reversed(alphas)):
             q += (alpha - rho * _dot(y, q)) * s
         slope = -_dot(g, q)
         if not slope < 0.0:  # a zero gradient
@@ -351,9 +366,9 @@ def _lbfgs(fun, x):
         else:
             break  # no step lowers the value at this precision
         s, y = x_new - x, g_new - g
-        ys = _dot(y, s)
-        if ys > np.finfo(float).eps * _dot(y, y):  # keeps H positive definite
-            pairs.append((s, y, 1.0 / ys))
+        ys, yy = _dot(y, s), _dot(y, y)
+        if ys > np.finfo(float).eps * yy:  # keeps H positive definite
+            pairs.append((s, y, 1.0 / ys, yy))
         done = f - f_new <= _LBFGS_REL_DECREASE * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         if done:
@@ -363,20 +378,27 @@ def _lbfgs(fun, x):
 
 class _LinearModel(TrainedModel):
     """Weights ``W_`` (k, F) and biases ``b_`` minimizing the subclass's
-    full-batch objective ``_loss_grad`` (W, b, X, y_local, l2) -> (loss,
-    grad_W, grad_b), found by L-BFGS from zero."""
+    full-batch objective ``_loss_grad`` (W, b, X, XT, targets, l2) -> (loss,
+    grad_W, grad_b), found by L-BFGS from zero. A fit builds X's transpose
+    ``XT`` and the ``_targets`` of the labels once, not on every call: scipy
+    builds each ``X.T`` through its checked constructor."""
 
     _ARRAYS = (("W_", "kF"), ("b_", "k"))
 
+    @staticmethod
+    def _targets(y_local, k):
+        """What the objective reads of the labels: by default the class indices."""
+        return y_local
+
     def _fit(self, X, y):
         k, F = len(self.classes_), self.n_features_
-        y_local = np.searchsorted(self.classes_, y)
+        XT, targets = X.T, self._targets(np.searchsorted(self.classes_, y), k)
         l2 = self.hp["l2"]
 
         def objective(theta):
             # theta is b, then W.T in C order, the operand scipy's sparse product reads in place
             W = theta[k:].reshape(F, k).T
-            loss, grad_W, grad_b = self._loss_grad(W, theta[:k], X, y_local, l2)
+            loss, grad_W, grad_b = self._loss_grad(W, theta[:k], X, XT, targets, l2)
             return loss, np.concatenate((grad_b, grad_W.T.ravel()))
 
         theta = _lbfgs(objective, np.zeros(k + k * F))
@@ -394,7 +416,7 @@ class SoftmaxRegression(_LinearModel):
     """Multiclass logistic regression: full-batch L-BFGS on the mean softmax
     cross-entropy plus an L2 penalty (``softmax_xent_loss_grad``)."""
 
-    _loss_grad = staticmethod(softmax_xent_loss_grad)
+    _loss_grad = staticmethod(_softmax_xent)
 
 
 class LinearSVMOvR(_LinearModel):
@@ -403,11 +425,17 @@ class LinearSVMOvR(_LinearModel):
     softmax-normalize the margins, so ensembles can average them with the
     probabilistic kinds."""
 
-    _loss_grad = staticmethod(squared_hinge_loss_grad)
+    _targets = staticmethod(_signs)
+    _loss_grad = staticmethod(_squared_hinge)
 
 
 # ---------------------------------------------------------------------------
 # random forest
+
+
+def _ranges(starts, lengths):
+    """The concatenated ranges ``starts[i] : starts[i] + lengths[i]``."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
 class _Tree(NamedTuple):
@@ -572,9 +600,8 @@ class _NodeTable(NamedTuple):
         n, n_trees = dense.shape[0], len(self.zero_leaf)
         first = self.zero_ptr[at]
         count = self.zero_ptr[at + 1] - first
-        slot = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
         hit = np.zeros(n * n_trees, dtype=bool)
-        hit[np.repeat(rows, count) * n_trees + self.zero_ids[slot]] = True
+        hit[np.repeat(rows, count) * n_trees + self.zero_ids[_ranges(first, count)]] = True
         pairs = np.flatnonzero(hit)
         return dense, pairs // n_trees, pairs % n_trees
 
@@ -653,7 +680,12 @@ class _Bins(NamedTuple):
     """One fit's binned training matrix: the CSR structure with each stored
     entry's value code, and per feature the code of the value 0 (not always
     0: values can be negative) and the number of codes. Feature j's
-    thresholds are ``thresholds[offsets[j]:offsets[j + 1]]``."""
+    thresholds are ``thresholds[offsets[j]:offsets[j + 1]]``.
+
+    The same entries by column: feature j's ``stored[j]`` entries are
+    ``col_rows[col_ptr[j]:col_ptr[j + 1]]`` with codes ``col_codes[...]``,
+    in row order, the rows in the CSR's own index dtype. The fit drops the
+    bins when it ends, so a model keeps none of this."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -662,6 +694,35 @@ class _Bins(NamedTuple):
     n_codes: np.ndarray
     thresholds: np.ndarray
     offsets: np.ndarray
+    stored: np.ndarray
+    col_ptr: np.ndarray
+    col_rows: np.ndarray
+    col_codes: np.ndarray
+
+    def by_rows(self, rows, candidates, starts, lengths):
+        """The stored entries of ``rows`` (sorted; ``starts`` and ``lengths``
+        their CSR spans) in the sampled ``candidates`` (ascending), as three
+        arrays: each entry's index into ``candidates``, its code, and its
+        row's index into ``rows``. A row that ``rows`` repeats repeats them."""
+        entry = _ranges(starts, lengths)
+        slot = np.full(len(self.stored), -1)
+        slot[candidates] = np.arange(len(candidates))
+        cand = slot[self.indices[entry]]
+        keep = cand >= 0
+        return cand[keep], self.codes[entry[keep]], np.repeat(np.arange(len(rows)), lengths)[keep]
+
+    def by_columns(self, rows, candidates, col_lengths):
+        """``by_rows``'s entries, in another order, read from the columns of
+        ``candidates`` (``col_lengths`` their ``stored`` counts): each entry
+        whose row is in ``rows``, repeated as often as ``rows`` repeats the
+        row, the copies at the row's positions in ``rows``."""
+        entry = _ranges(self.col_ptr[candidates], col_lengths)
+        row = self.col_rows[entry]
+        copies = np.bincount(rows, minlength=len(self.indptr) - 1)
+        repeats = copies[row]
+        cand = np.repeat(np.repeat(np.arange(len(candidates)), col_lengths), repeats)
+        first_copy = np.cumsum(copies) - copies  # rows is sorted: a row's copies sit together
+        return cand, np.repeat(self.col_codes[entry], repeats), _ranges(first_copy[row], repeats)
 
 
 class RandomForest(TrainedModel):
@@ -669,10 +730,13 @@ class RandomForest(TrainedModel):
 
     Split search runs on per-feature binned value codes (at most 32 candidate
     thresholds per feature, placed midway between adjacent observed values).
-    A node visits only its rows' stored entries: a feature's zero-valued rows
-    all share one code, whose class counts are the node's counts minus those
-    of the feature's stored entries, so a node's histogram costs time in
-    proportion to its nonzeros, not to its rows times the sampled features.
+    A node counts only stored entries of its sampled features: a feature's
+    zero-valued rows all share one code, whose class counts are the node's
+    counts minus those of the feature's stored entries. It reads them from
+    whichever holds fewer entries, its rows or its sampled features' columns
+    (as sparsity-aware split finding does over a column block, Chen and
+    Guestrin, KDD 2016), so a node's histogram costs time in proportion to
+    the smaller, not to its rows times the sampled features.
     Stored thresholds are the real midpoints, so prediction routes raw
     feature values and does not depend on the binning.
 
@@ -754,10 +818,14 @@ class RandomForest(TrainedModel):
         )
         below = np.cumsum(is_mid[order]) - is_mid[order]
         entries = order[~is_mid[order]]
-        codes = np.empty(X.nnz, dtype=np.int64)
+        codes = np.empty(X.nnz, dtype=np.uint8)  # at most 33 codes a feature
         codes[entries] = below[~is_mid[order]] - offsets[X.indices[entries]]
         zero_code = np.bincount(mid_feat[mids < 0.0], minlength=F)
-        return _Bins(X.indptr, X.indices, codes, zero_code, np.diff(offsets) + 1, mids, offsets)
+        by_column = np.argsort(X.indices, kind="stable")  # a row's entries stay in row order
+        col_rows = np.repeat(np.arange(n, dtype=X.indices.dtype), np.diff(X.indptr))[by_column]
+        col_ptr = np.concatenate(([0], np.cumsum(stored)))
+        return _Bins(X.indptr, X.indices, codes, zero_code, np.diff(offsets) + 1, mids, offsets,
+                     stored, col_ptr, col_rows, codes[by_column])
 
     def _grow(self, nodes, bins, y_local, k, rows, depth, m, rng):
         """Append the subtree of ``rows`` to ``nodes`` in preorder, one
@@ -780,6 +848,9 @@ class RandomForest(TrainedModel):
     def _best_split(self, bins, y_local, k, rows, m, rng, counts):
         """One histogram pass over the node's stored entries of the sampled features.
 
+        The entries come from the node's rows or, when they hold fewer, from
+        the sampled features' columns, each entry there repeated as often as
+        the bootstrap repeats its row; the counts are the same integers.
         Impurities are node-size-scaled Gini (n - sum(counts^2)/n) so the gain
         comparison never divides by child sizes. Ties resolve to the lowest
         feature index, then the lowest split code. Returns None or
@@ -791,16 +862,14 @@ class RandomForest(TrainedModel):
         n_node = len(rows)
         parent_impurity = n_node - np.sum(counts.astype(float) ** 2) / n_node
         candidates = np.sort(rng.choice(F, size=min(m, F), replace=False))
-        # the rows' stored entries, in row order; a row repeated by the bootstrap repeats them
+        # each stored entry of the sampled features here, from the rows or the columns
         starts = bins.indptr[rows]
         lengths = bins.indptr[rows + 1] - starts
-        entry = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        slot = np.full(F, -1)
-        slot[candidates] = np.arange(len(candidates))
-        cand = slot[bins.indices[entry]]
-        keep = cand >= 0
-        entry, cand = entry[keep], cand[keep]
-        position = np.repeat(np.arange(n_node), lengths)[keep]  # the entry's index into rows
+        col_lengths = bins.stored[candidates]
+        if col_lengths.sum() < lengths.sum():
+            cand, codes, position = bins.by_columns(rows, candidates, col_lengths)
+        else:
+            cand, codes, position = bins.by_rows(rows, candidates, starts, lengths)
         # A candidate with no entry here is constant on the node: all its splits are invalid.
         present = np.bincount(cand, minlength=len(candidates)) > 0
         if not present.any():
@@ -814,7 +883,7 @@ class RandomForest(TrainedModel):
         local = (np.cumsum(present) - 1)[cand]  # the entry's index into feats
         y_entry = y_local[rows[position]]
         hist = np.bincount(
-            y_entry * slots + first[local] + bins.codes[entry], minlength=k * slots
+            y_entry * slots + first[local] + codes, minlength=k * slots
         ).reshape(k, slots)
         stored = np.bincount(y_entry * a + local, minlength=k * a).reshape(k, a)
         zero = bins.zero_code[feats]
@@ -838,7 +907,7 @@ class RandomForest(TrainedModel):
             return None
         go_left = np.full(n_node, zero[fi] <= code)
         hit = local == fi
-        go_left[position[hit]] = bins.codes[entry[hit]] <= code
+        go_left[position[hit]] = codes[hit] <= code
         feat = int(feats[fi])
         return feat, float(bins.thresholds[bins.offsets[feat] + code]), go_left
 

@@ -1,6 +1,7 @@
 """Classifier portfolio: hyperparameter space, each learner's math, shared
 predict contract, determinism, and the JSON serialization round-trip."""
 
+import collections
 import importlib.util
 import json
 import math
@@ -20,6 +21,8 @@ from sentigram.learners import (
     ConstantModel,
     MultinomialNB,
     RandomForest,
+    _Bins,
+    _lbfgs,
     _NodeTable,
     _Tree,
     _nonnegative,
@@ -66,14 +69,20 @@ def separable_matrix(n_per_class=8, noise=0.05, seed=0, classes=(0, 1, 2)):
     return FeatureMatrix(X=X, y=np.asarray(labels, dtype=np.int64), fingerprint=FP, scheme="count")
 
 
-def se_like_rows(n_train, n_test, seed):
-    """Labeled phrase-IDF rows of the benchmark's SE-like corpus: training
-    rows and held-out rows vectorized against the training dictionary."""
+def _workloads():
+    """The benchmark's corpus generators, ``bench/workloads.py``."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def se_like_rows(n_train, n_test, seed):
+    """Labeled phrase-IDF rows of the benchmark's SE-like corpus: training
+    rows and held-out rows vectorized against the training dictionary."""
+    workloads = _workloads()
     docs = workloads.se_like_documents(n_train + n_test, seed)
     stoplist = load_stoplist()
     tokens = [preprocess(text, stoplist) for text, _ in docs]
@@ -81,6 +90,17 @@ def se_like_rows(n_train, n_test, seed):
     dictionary = build_dictionary(tokens[:n_train], max_n=10, min_freq=2)
     X = vectorize(tokens, dictionary, "count_x_weight")
     return (X[:n_train], y[:n_train]), (X[n_train:], y[n_train:])
+
+
+def planted_rows(counts, seed):
+    """Labeled phrase-IDF rows of the benchmark's planted corpus (unigrams
+    and bigrams, no stop list), ``counts`` documents per class."""
+    workloads = _workloads()
+    docs = workloads.planted_documents(counts, seed)
+    tokens = [preprocess(text) for text, _ in docs]
+    y = np.array([workloads.LABELS.index(label) for _, label in docs])
+    dictionary = build_dictionary(tokens, max_n=2, min_freq=2)
+    return vectorize(tokens, dictionary, "count_x_weight"), y
 
 
 def fast_hp(kind):
@@ -322,6 +342,25 @@ class TestLinearTraining:
         assert max(np.abs(gW).max(), np.abs(gb).max()) > 0.1
         _, gW, gb = loss_grad(model.W_, model.b_, fm.X, y_local, l2)
         assert max(np.abs(gW).max(), np.abs(gb).max()) < 1e-3
+
+    @pytest.mark.parametrize("kind", LINEAR_OBJECTIVES)
+    def test_fit_is_lbfgs_over_the_public_objective_bit_for_bit(self, kind):
+        """The transpose and targets a fit builds once change no bit of the
+        documented objective's minimizer."""
+        (X, y), _ = se_like_rows(200, 0, seed=8)
+        fm = FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count")
+        model = train(kind, {"l2": 1e-3}, fm, seed=0)
+        k, F = model.W_.shape
+        y_local = np.searchsorted(model.classes_, y)
+
+        def objective(theta):
+            W = theta[k:].reshape(F, k).T
+            loss, grad_W, grad_b = LINEAR_OBJECTIVES[kind](W, theta[:k], X, y_local, 1e-3)
+            return loss, np.concatenate((grad_b, grad_W.T.ravel()))
+
+        theta = _lbfgs(objective, np.zeros(k + k * F))
+        assert model.b_.tobytes() == theta[:k].tobytes()
+        assert model.W_.T.tobytes() == theta[k:].tobytes()
 
     @pytest.mark.parametrize("kind", LINEAR_OBJECTIVES)
     def test_fit_on_zero_features_predicts(self, kind):
@@ -607,6 +646,19 @@ def dense_split(codes, thresholds, y, k, rows, candidates, min_leaf):
     return feat, code, float(thresholds[feat][code])
 
 
+def dense_best_split(X, min_leaf):
+    """A stand-in for ``RandomForest._best_split`` on X: the same candidate
+    draw, then the dense reference's split."""
+    codes, thresholds = dense_binning(X)
+
+    def best_split(self, bins, y_local, k, rows, m, rng, counts):
+        candidates = np.sort(rng.choice(self.n_features_, size=m, replace=False))
+        split = dense_split(codes, thresholds, y_local, k, rows, candidates, min_leaf)
+        return None if split is None else (split[0], split[2], codes[split[0], rows] <= split[1])
+
+    return best_split
+
+
 class TestSparseSplitSearch:
     """The split search over a node's stored entries equals the dense reference."""
 
@@ -667,6 +719,14 @@ class TestSparseSplitSearch:
         )
         rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
         np.testing.assert_array_equal(bins.codes, codes[X.indices, rows])
+        # the column view: each feature's entries in row order, rows in the CSR's index dtype
+        by_column = X.tocsc()
+        np.testing.assert_array_equal(bins.stored, np.diff(by_column.indptr))
+        np.testing.assert_array_equal(bins.col_ptr, by_column.indptr)
+        np.testing.assert_array_equal(bins.col_rows, by_column.indices)
+        assert bins.col_rows.dtype == X.indices.dtype
+        feature = np.repeat(np.arange(X.shape[1]), bins.stored)
+        np.testing.assert_array_equal(bins.col_codes, codes[feature, by_column.indices])
 
     def test_node_without_a_splittable_feature_has_no_split(self):
         X, y = split_fixture(22)
@@ -690,16 +750,43 @@ class TestSparseSplitSearch:
         hp = {"n_trees": 10, "max_depth": 8, "feature_fraction": frac,
               "min_samples_leaf": leaf, "bootstrap": bootstrap}
         sparse_forest = model_to_dict(train("random_forest", hp, fm, seed=6))
-        codes, thresholds = dense_binning(X)
-
-        def dense_best_split(self, bins, y_local, k, rows, m, rng, counts):
-            candidates = np.sort(rng.choice(self.n_features_, size=m, replace=False))
-            split = dense_split(codes, thresholds, y_local, k, rows, candidates, leaf)
-            return None if split is None else (split[0], split[2], codes[split[0], rows] <= split[1])
-
-        monkeypatch.setattr(RandomForest, "_best_split", dense_best_split)
+        monkeypatch.setattr(RandomForest, "_best_split", dense_best_split(X, leaf))
         assert model_to_dict(train("random_forest", hp, fm, seed=6)) == sparse_forest
         assert sum(len(t["feature"]) for t in sparse_forest["params"]["trees"]) > 10 * 3
+
+    @pytest.mark.parametrize("corpus", ["planted", "se_like"])
+    def test_forest_grid_equals_dense_reference_by_rows_and_by_columns(self, monkeypatch, corpus):
+        """Every ``feature_fraction`` x bootstrap x two depths grows the trees
+        of the dense reference, and the grid reads a node's entries both ways,
+        by columns also where the bootstrap repeats a node's rows."""
+        if corpus == "planted":
+            X, y = planted_rows((40, 30, 20), seed=5)
+        else:
+            (X, y), _ = se_like_rows(100, 0, seed=5)
+        fm = FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count")
+        grid = [{"n_trees": 10, "max_depth": depth, "feature_fraction": frac,
+                 "min_samples_leaf": 1, "bootstrap": bootstrap}
+                for frac in self.FRACTIONS for bootstrap in (True, False) for depth in (3, 8)]
+        reads = collections.Counter()
+        by_rows, by_columns = _Bins.by_rows, _Bins.by_columns
+
+        def counted_by_rows(bins, rows, *args):
+            reads["rows"] += 1
+            return by_rows(bins, rows, *args)
+
+        def counted_by_columns(bins, rows, *args):
+            reads["columns"] += 1
+            reads["columns, rows repeated"] += bool(np.any(rows[1:] == rows[:-1]))
+            return by_columns(bins, rows, *args)
+
+        monkeypatch.setattr(_Bins, "by_rows", counted_by_rows)
+        monkeypatch.setattr(_Bins, "by_columns", counted_by_columns)
+        forests = [model_to_dict(train("random_forest", hp, fm, seed=6)) for hp in grid]
+        assert min(reads.values()) > 0 and len(reads) == 3
+        monkeypatch.setattr(RandomForest, "_best_split", dense_best_split(X, 1))
+        for hp, forest in zip(grid, forests):
+            assert model_to_dict(train("random_forest", hp, fm, seed=6)) == forest, hp
+            assert max(len(t["feature"]) for t in forest["params"]["trees"]) > 1
 
     def test_fitted_forest_holds_only_what_reloading_restores(self):
         model = train("random_forest", fast_hp("random_forest"), separable_matrix(seed=14), seed=2)
