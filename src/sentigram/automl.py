@@ -423,6 +423,8 @@ def load_ensemble(path) -> TrainedEnsemble:
     for key in ("members", "fingerprint"):
         if not payload.get(key):
             raise ValueError(f"{path}: ensemble container has no {key}")
+    if not isinstance(payload["members"], list):
+        raise ValueError(f"{path}: ensemble members={payload['members']!r} is not a JSON list")
     members = []
     for i, spec in enumerate(payload["members"]):
         if not isinstance(spec, dict):

@@ -79,6 +79,7 @@ _MODEL_FORMAT = "sentigram-model/1"
 _LBFGS_MEMORY = 10  # curvature pairs kept
 _LBFGS_MAX_ITER = 200  # steps
 _LBFGS_REL_DECREASE = 1e-9  # a step lowering the objective by less, relatively, ends the fit
+_LBFGS_REL_GRAD = 1e-3  # a gradient norm this far below the starting point's ends the fit
 
 
 def default_hp(kind: str) -> dict:
@@ -202,7 +203,7 @@ class TrainedModel:
             key, shape = name.removesuffix("_"), tuple(sizes[d] for d in dims)
             try:
                 array = np.asarray(params[key], dtype=np.float64, order="F")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{model.kind} params {key!r}: unreadable ({exc!r})") from None
             if array.shape != shape:
                 raise ValueError(f"{model.kind} params {key!r}: shape {array.shape}, not {shape}")
@@ -339,11 +340,20 @@ def _dot(a, b):
 
 def _lbfgs(fun, x):
     """Minimize ``fun`` (returning value and gradient) from ``x`` by L-BFGS
-    (Liu & Nocedal, Math. Programming 1989) with Armijo backtracking; stop
-    early when a step lowers the value by less than ``_LBFGS_REL_DECREASE``."""
+    (Liu & Nocedal, Math. Programming 1989) with Armijo backtracking. The fit
+    ends at whichever stop comes first:
+
+    - the gradient norm is at most ``_LBFGS_REL_GRAD`` times its norm at the
+      start point, LIBLINEAR's primal stop (Fan et al., JMLR 2008);
+    - a step lowers the value by less than ``_LBFGS_REL_DECREASE``, relatively;
+    - ``_LBFGS_MAX_ITER`` steps have been taken.
+    """
     f, g = fun(x)
+    g0 = math.sqrt(_dot(g, g))
     pairs = collections.deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / y.s, y.y), oldest first
     for _ in range(_LBFGS_MAX_ITER):
+        if math.sqrt(_dot(g, g)) <= _LBFGS_REL_GRAD * g0:
+            break
         # two-loop recursion: q = H g, H starting from the newest pair's s.y / y.y
         q, alphas = g.copy(), []
         for s, y, rho, _ in reversed(pairs):
@@ -456,11 +466,24 @@ class _Tree(NamedTuple):
     right: np.ndarray
     leaf_class: np.ndarray
 
+    _dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)  # the saved dtypes
+
     @classmethod
     def of(cls, columns):
         """The tree of five node columns, in field order, cast to the saved dtypes."""
-        dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64)
-        return cls(*(np.asarray(col, dtype=dtype) for col, dtype in zip(columns, dtypes)))
+        return cls(*(np.asarray(col, dtype=dtype) for col, dtype in zip(columns, cls._dtypes)))
+
+    @classmethod
+    def saved_fault(cls, columns):
+        """Why saved node columns, in field order, cannot be cast to a tree, or
+        None. The cast in ``of`` would truncate an integer column's 1.5 and
+        overflow on its 1e30, so those must hold JSON integers within int64."""
+        for field, dtype, col in zip(cls._fields, cls._dtypes, columns):
+            if not isinstance(col, list):
+                return f"unreadable node columns ({field!r} is not a list)"
+            if dtype is np.int64 and not all(map(_is_int64, col)):
+                return f"node column {field!r} holds a value that is not an int64"
+        return None
 
     def fault(self, n_features, classes):
         """Why a loaded tree cannot route rows to a class, or None. Each node but
@@ -979,14 +1002,20 @@ class RandomForest(TrainedModel):
         """The saved forest; each tree is checked once, as a model file is
         outside input and a malformed tree could route forever or misvote."""
         model = super()._from_params(head, params)
-        if not isinstance(params, dict) or not params.get("trees"):
+        trees = params.get("trees") if isinstance(params, dict) else None
+        if not trees:
             raise ValueError("random forest payload has no trees")
+        if not isinstance(trees, list):
+            raise ValueError(f"random forest params 'trees': {trees!r} is not a list")
         model.trees_ = []
-        for i, spec in enumerate(params["trees"]):
+        for i, spec in enumerate(trees):
             try:
-                tree = _Tree.of(spec[f] for f in _Tree._fields)
-                fault = tree.fault(model.n_features_, model.classes_)
-            except (KeyError, TypeError, ValueError) as exc:
+                columns = [spec[f] for f in _Tree._fields]
+                fault = _Tree.saved_fault(columns)
+                if fault is None:
+                    tree = _Tree.of(columns)
+                    fault = tree.fault(model.n_features_, model.classes_)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 fault = f"unreadable node columns ({exc!r})"
             if fault:
                 raise ValueError(f"random forest tree {i}: {fault}")
@@ -1049,10 +1078,11 @@ def model_from_dict(payload: dict) -> TrainedModel:
         raise ValueError(f"{kind} payload: hp={hp!r} is not a JSON object")
     for key in ("seed", "n_features"):
         if not _is_count(payload[key]):
-            raise ValueError(f"{kind} payload: {key}={payload[key]!r} is not a non-negative int")
+            raise ValueError(f"{kind} payload: {key}={payload[key]!r} is not a non-negative int64")
     ints = isinstance(classes, list) and all(map(_is_count, classes))
     if not (classes and ints and classes == sorted(set(classes))):
-        raise ValueError(f"{kind} payload: classes={classes!r} are not ascending non-negative ints")
+        raise ValueError(f"{kind} payload: classes={classes!r} are not ascending non-negative "
+                         "int64s")
     if type(constant) is not bool or constant != (len(classes) == 1):
         raise ValueError(f"{kind} payload: constant={constant!r} does not match classes={classes}")
     head = (kind, validate_hp(kind, hp), payload["seed"], classes, payload["n_features"],
@@ -1061,5 +1091,10 @@ def model_from_dict(payload: dict) -> TrainedModel:
     return cls._from_params(head, payload["params"])
 
 
+def _is_int64(value) -> bool:
+    """Whether ``value`` is a JSON integer that int64 holds; bool, a subclass of int, is not."""
+    return type(value) is int and -(2**63) <= value < 2**63
+
+
 def _is_count(value) -> bool:
-    return type(value) is int and value >= 0  # bool is a subclass of int and is refused too
+    return _is_int64(value) and value >= 0

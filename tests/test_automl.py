@@ -598,13 +598,15 @@ class TestFitFinalAndSerialization:
         [
             (lambda d: [], "ensemble container is not a JSON object"),
             (lambda d: "ensemble", "ensemble container is not a JSON object"),
+            (lambda d: {**d, "members": 5}, "ensemble members=5 is not a JSON list"),
             (lambda d: {**d, "members": [[]]}, "ensemble member 0 is not a JSON object"),
             (
                 lambda d: {**d, "members": [{**d["members"][0], "model": []}]},
                 "ensemble member 0's model is not a JSON object",
             ),
         ],
-        ids=["list-container", "string-container", "list-member", "list-model"],
+        ids=["list-container", "string-container", "number-members", "list-member",
+             "list-model"],
     )
     def test_load_rejects_a_container_that_is_not_an_object(self, tmp_path, change, match):
         _, _, ensemble = self._pipeline()

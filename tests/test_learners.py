@@ -12,16 +12,20 @@ import pytest
 import scipy.sparse as sp
 import scipy.special
 
+from sentigram import learners
 from sentigram.automl import EnsembleMember, TrainedEnsemble
 from sentigram.features import FeatureMatrix, vectorize
 from sentigram.learners import (
     DEFAULT_HP,
     HP_SPACE,
     KINDS,
+    _LBFGS_MAX_ITER,
+    _LBFGS_REL_GRAD,
     ConstantModel,
     MultinomialNB,
     RandomForest,
     _Bins,
+    _dot,
     _lbfgs,
     _NodeTable,
     _Tree,
@@ -361,6 +365,42 @@ class TestLinearTraining:
         theta = _lbfgs(objective, np.zeros(k + k * F))
         assert model.b_.tobytes() == theta[:k].tobytes()
         assert model.W_.T.tobytes() == theta[k:].tobytes()
+
+    @pytest.mark.parametrize("kind", LINEAR_OBJECTIVES)
+    def test_fit_stops_on_the_relative_gradient_norm(self, kind, monkeypatch):
+        """LIBLINEAR's stop ends the fit well within the step cap, at the first
+        point whose gradient norm is at most _LBFGS_REL_GRAD of the start point's."""
+        (X, y), _ = se_like_rows(200, 0, seed=8)
+        fm = FeatureMatrix(X=X, y=y, fingerprint=FP, scheme="count")
+        points, gradients, fits = [], [], []
+
+        def observed_lbfgs(fun, x):
+            def observed(theta):
+                value, gradient = fun(theta)
+                points.append(theta)
+                gradients.append(gradient)
+                return value, gradient
+
+            fits.append(_lbfgs(observed, x))
+            return fits[-1]
+
+        monkeypatch.setattr(learners, "_lbfgs", observed_lbfgs)
+        train(kind, {}, fm)
+        [theta] = fits
+        assert len(points) < _LBFGS_MAX_ITER  # each step evaluates the objective at least once
+        norms = [math.sqrt(_dot(g, g)) for g in gradients]
+        met = [norm <= _LBFGS_REL_GRAD * norms[0] for norm in norms]
+        assert points[-1] is theta and met == [False] * (len(met) - 1) + [True]
+
+    def test_a_start_at_a_zero_gradient_is_returned_unchanged(self):
+        x, calls = np.array([1.0, -2.0, 3.0]), []
+
+        def flat(theta):
+            calls.append(theta)
+            return 5.0, np.zeros_like(theta)
+
+        assert _lbfgs(flat, x) is x
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", LINEAR_OBJECTIVES)
     def test_fit_on_zero_features_predicts(self, kind):
@@ -1352,11 +1392,16 @@ class TestSerialization:
             (lambda d: d.update(n_features=-1), r"n_features=-1 is not a non-negative int"),
             (lambda d: d.update(n_features=6.0), r"n_features=6\.0 is not a non-negative int"),
             (lambda d: d.update(hp=[]), r"hp=\[\] is not a JSON object"),
+            (lambda d: d.update(classes=[0, 1, 10**30]),
+             r"classes=\[0, 1, 10{30}\] are not ascending non-negative int64s"),
+            (lambda d: d.update(seed=2**63),
+             r"seed=9223372036854775808 is not a non-negative int64"),
         ],
         ids=["descending-classes", "repeated-class", "negative-class", "float-class",
              "no-classes", "string-classes", "constant-with-three-classes", "int-constant",
              "one-class-not-constant", "no-n-features", "no-constant", "no-params", "no-hp",
-             "string-seed", "bool-seed", "negative-n-features", "float-n-features", "list-hp"],
+             "string-seed", "bool-seed", "negative-n-features", "float-n-features", "list-hp",
+             "class-above-int64", "seed-above-int64"],
     )
     def test_a_malformed_head_is_refused_naming_its_field(self, change, match):
         model = train("multinomial_nb", {}, separable_matrix(seed=21))
@@ -1381,10 +1426,12 @@ class TestSerialization:
              r"'class_log_prior': unreadable \(KeyError"),
             ("linear_svm", lambda d: d["params"]["b"].__setitem__(0, "x"), r"'b': unreadable"),
             ("logistic_regression", lambda d: d.update(params=[]), r"'W': unreadable \(TypeError"),
+            ("linear_svm", lambda d: d["params"]["b"].__setitem__(0, 10**400),
+             r"'b': unreadable \(OverflowError"),
         ],
         ids=["nb-table-row-short", "nb-prior-short", "lr-weights-row-short", "svm-bias-short",
              "n-features-disagrees-with-weights", "ragged-weights", "no-prior", "string-bias",
-             "list-params"],
+             "list-params", "bias-beyond-float64"],
     )
     def test_a_malformed_array_is_refused_naming_its_key(self, kind, change, match):
         payload = json.loads(json.dumps(model_to_dict(train(kind, {}, separable_matrix(seed=22)))))
@@ -1442,17 +1489,36 @@ class TestLoadedForestCheck:
             (lambda t: t.update(feature="root"), "unreadable node columns"),
             (lambda t: t["threshold"].__setitem__(0, math.nan), "split threshold is not finite"),
             (lambda t: t["threshold"].__setitem__(0, -math.inf), "split threshold is not finite"),
+            (lambda t: t["threshold"].__setitem__(0, 10**400),
+             r"unreadable node columns \(OverflowError"),
         ],
         ids=["cycle", "child-out-of-range", "children-swapped", "right-before-left",
              "leaf-class-not-a-class", "leaf-without-class", "short-threshold", "no-nodes",
              "feature-out-of-range", "no-left-column", "non-numeric-column", "nan-threshold",
-             "infinite-threshold"],
+             "infinite-threshold", "threshold-beyond-float64"],
     )
     def test_a_malformed_tree_is_refused_with_its_index(self, change, match):
         payload = self._payload()
         change(payload["params"]["trees"][1])
         payload = json.loads(json.dumps(payload))  # json writes and reads NaN and Infinity
         with pytest.raises(ValueError, match=r"random forest tree 1: .*" + match):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize("value", [math.inf, 10**30, 1.5], ids=["infinity", "1e30", "1.5"])
+    @pytest.mark.parametrize("field", ["feature", "left", "right", "leaf_class"])
+    def test_an_integer_node_value_int64_cannot_hold_is_refused(self, field, value):
+        # the int64 cast would overflow on the first two and truncate 1.5 to 1
+        payload = self._payload()
+        payload["params"]["trees"][1][field][0] = value
+        payload = json.loads(json.dumps(payload))  # json writes and reads Infinity
+        with pytest.raises(ValueError, match=f"random forest tree 1: node column '{field}' holds "
+                                             "a value that is not an int64"):
+            model_from_dict(payload)
+
+    def test_trees_that_are_not_a_list_are_refused(self):
+        payload = self._payload()
+        payload["params"]["trees"] = 5
+        with pytest.raises(ValueError, match="random forest params 'trees': 5 is not a list"):
             model_from_dict(payload)
 
     @pytest.mark.parametrize(
