@@ -414,6 +414,8 @@ def ensemble_to_dict(ensemble: TrainedEnsemble) -> dict:
 def load_ensemble(path) -> TrainedEnsemble:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):

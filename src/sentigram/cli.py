@@ -181,7 +181,12 @@ def cmd_report(args) -> int:
     path = Path(args.report_path)
     if not path.exists():
         raise ValueError(f"report file not found: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     not_a_report = ValueError(f"{path}: not a report.json written by evaluate")
     if not isinstance(payload, dict) or not all(k in payload for k in _REPORT_KEYS):
         raise not_a_report

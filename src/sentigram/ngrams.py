@@ -317,10 +317,14 @@ def import_dictionary(path: str | Path) -> NGramDictionary:
     The file must be prefix-closed, as every exported dictionary is: a phrase
     whose (n-1)-prefix has no line is rejected, and so is a token other than
     ``[a-z0-9]+``. A leading UTF-8 byte-order mark is skipped, and a
-    malformed line is refused naming the file and line.
+    malformed line is refused naming the file and line, and bytes that are
+    not UTF-8 naming the file.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or tuple(lines[0].split("\t")) != DICTIONARY_COLUMNS:
         raise ValueError(f"{path}: not a dictionary TSV (bad header)")
     entries: dict[Phrase, NGramEntry] = {}

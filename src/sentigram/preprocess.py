@@ -40,11 +40,15 @@ def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
 
     Without a path this returns the packaged English list.
     Entries are lowercased; blank lines and comment-only lines are skipped.
+    A file that is not UTF-8 is refused with a ValueError naming it.
     """
     if path is None:
         text = resources.files("sentigram.data").joinpath("stopwords_en.txt").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        try:
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     words = set()
     for line in text.splitlines():
         word = line.split("#", 1)[0].strip().lower()

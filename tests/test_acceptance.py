@@ -41,7 +41,8 @@ from sentigram.corpus import (
 )
 from sentigram.evaluation import RunConfig, run_experiment
 from sentigram.features import FeatureMatrix, smote_oversample
-from sentigram.learners import softmax_xent_loss_grad, train
+from sentigram.learners import train
+from sentigram.linear import softmax_xent_loss_grad
 from sentigram.metrics import ClassMetrics, per_class_prf, weighted_f1, weighted_f1_labels
 from sentigram.ngrams import build_dictionary, export_dictionary, import_dictionary
 

@@ -653,6 +653,12 @@ class TestFitFinalAndSerialization:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not valid JSON"):
             load_ensemble(path)
 
+    def test_load_names_the_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes('{"format": "caf\xe9"}'.encode("latin-1"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text: .*0xe9"):
+            load_ensemble(path)
+
     def test_load_rejects_foreign_payload(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else/1"}', encoding="utf-8")

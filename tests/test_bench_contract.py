@@ -1,9 +1,10 @@
 """The benchmark's contracts with the package.
 
 Tracing: every package function ``bench/run.py`` wraps under ``--trace 1``
-still exists under the name it looks up, and its fit hook counts a forest's
-nodes the way the model serializes them. A rename in the package fails here
-instead of breaking a traced run.
+still exists under the name it looks up, each traced learner class is the
+class that ``train`` and ``model_from_dict`` return for a kind, and its fit
+hook counts a forest's nodes the way the model serializes them. A rename or
+move in the package fails here instead of breaking a traced run.
 
 Dictionary statistics: the features-wide round-0 dictionary rebuilt for a
 few seeds still has the statistics digest recorded in
@@ -21,7 +22,7 @@ import pytest
 import scipy.sparse as sp
 
 from sentigram.features import FeatureMatrix
-from sentigram.learners import default_hp, model_from_dict, model_to_dict, train
+from sentigram.learners import KINDS, default_hp, model_from_dict, model_to_dict, train
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -71,6 +72,26 @@ def test_every_traced_target_resolves(bench_run):
         assert callable(getattr(owner, attr)), f"{spec_owner}.{spec_attr} ({name})"
     assert set(run.CAPTURE_TARGETS) <= set(run.TRACE_TARGETS)
     assert set(run.HOOKS) <= {name for _, _, name in run.TRACE_TARGETS}
+
+
+def test_traced_learner_classes_are_the_classes_that_run(bench_run):
+    # a class the trace wraps but no kind runs would leave its spans empty
+    run, _ = bench_run
+    traced = {
+        owner
+        for (owner, _, _), (spec_owner, _, _) in zip(run._resolve(run.TRACE_TARGETS),
+                                                     run.TRACE_TARGETS)
+        if spec_owner.startswith("learners.")
+    }
+    rng = np.random.default_rng(0)
+    X = sp.csr_matrix(rng.choice([0.0, 1.0, 2.0], size=(40, 6), p=[0.6, 0.2, 0.2]))
+    fm = FeatureMatrix(X=X, y=rng.integers(0, 3, size=40), fingerprint="fp", scheme="count")
+    running = set()
+    for kind in KINDS:
+        model = train(kind, default_hp(kind), fm, seed=1)
+        assert type(model_from_dict(model_to_dict(model))) is type(model), kind
+        running.add(type(model))
+    assert traced == running
 
 
 def test_fit_hook_counts_the_serialized_forest_nodes(bench_run):

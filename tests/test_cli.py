@@ -486,6 +486,23 @@ class TestReport:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "cut, reason",
+        [(lambda b: b[:11], "not valid JSON"),
+         (lambda b: b[:11] + "caf\xe9".encode("latin-1"), "not UTF-8 text")],
+        ids=["truncated", "latin-1"],
+    )
+    def test_unreadable_report_exits_2_naming_the_file(
+        self, evaluate_run, tmp_path, capsys, cut, reason
+    ):
+        _, out_dir, _ = evaluate_run
+        path = tmp_path / "report.json"
+        path.write_bytes(cut((out_dir / "report.json").read_bytes()))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {reason}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize(
         "section, value",
         [("dataset", {}), ("config", []), ("rounds", [{}]), ("top_ngrams", []), ("pooled", 1)],
         ids=["empty-dataset", "list-config", "empty-round", "list-top-ngrams", "number-pooled"],

@@ -12,23 +12,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.special
 
-from sentigram import learners
+from sentigram import forest, linear
 from sentigram.automl import EnsembleMember, TrainedEnsemble
 from sentigram.features import FeatureMatrix, vectorize
+from sentigram.forest import _best_split, _bin_entries, _Bins, _features_per_node, _NodeTable, _Tree
 from sentigram.learners import (
     DEFAULT_HP,
     HP_SPACE,
     KINDS,
-    _LBFGS_MAX_ITER,
-    _LBFGS_REL_GRAD,
     ConstantModel,
     MultinomialNB,
-    RandomForest,
-    _Bins,
-    _dot,
-    _lbfgs,
-    _NodeTable,
-    _Tree,
     _nonnegative,
     _one_vs_best_rest,
     _softmax,
@@ -36,10 +29,16 @@ from sentigram.learners import (
     model_from_dict,
     model_to_dict,
     sample_hp,
-    softmax_xent_loss_grad,
-    squared_hinge_loss_grad,
     train,
     validate_hp,
+)
+from sentigram.linear import (
+    _LBFGS_MAX_ITER,
+    _LBFGS_REL_GRAD,
+    _dot,
+    _lbfgs,
+    softmax_xent_loss_grad,
+    squared_hinge_loss_grad,
 )
 from sentigram.ngrams import build_dictionary
 from sentigram.preprocess import load_stoplist, preprocess
@@ -384,7 +383,7 @@ class TestLinearTraining:
             fits.append(_lbfgs(observed, x))
             return fits[-1]
 
-        monkeypatch.setattr(learners, "_lbfgs", observed_lbfgs)
+        monkeypatch.setattr(linear, "_lbfgs", observed_lbfgs)
         train(kind, {}, fm)
         [theta] = fits
         assert len(points) < _LBFGS_MAX_ITER  # each step evaluates the objective at least once
@@ -687,12 +686,12 @@ def dense_split(codes, thresholds, y, k, rows, candidates, min_leaf):
 
 
 def dense_best_split(X, min_leaf):
-    """A stand-in for ``RandomForest._best_split`` on X: the same candidate
-    draw, then the dense reference's split."""
+    """A stand-in for ``forest._best_split`` on X: the same candidate draw,
+    then the dense reference's split."""
     codes, thresholds = dense_binning(X)
 
-    def best_split(self, bins, y_local, k, rows, m, rng, counts):
-        candidates = np.sort(rng.choice(self.n_features_, size=m, replace=False))
+    def best_split(bins, y_local, k, rows, m, rng, counts, n_features, _min_leaf):
+        candidates = np.sort(rng.choice(n_features, size=m, replace=False))
         split = dense_split(codes, thresholds, y_local, k, rows, candidates, min_leaf)
         return None if split is None else (split[0], split[2], codes[split[0], rows] <= split[1])
 
@@ -704,32 +703,26 @@ class TestSparseSplitSearch:
 
     FRACTIONS = HP_SPACE["random_forest"]["feature_fraction"][1]
 
-    @staticmethod
-    def _forest(n_features, **hp):
-        return RandomForest(
-            "random_forest", validate_hp("random_forest", hp), 0, np.arange(3), n_features, FP
-        )
-
     @pytest.mark.parametrize("full_column", [False, True])
     def test_random_nodes_split_like_the_dense_reference(self, full_column):
         X, y = split_fixture(20 + full_column, full_column)
         codes, thresholds = dense_binning(X)
-        bins = RandomForest._bin_entries(X)
+        bins = _bin_entries(X)
         assert bins.zero_code[1] > 0
         rng = np.random.default_rng(58)
         splits = 0
         for trial in range(160):
             frac = self.FRACTIONS[trial % 4]
             leaf = 1 + trial % 4 if trial % 8 < 4 else 4 - trial % 4
-            model = self._forest(X.shape[1], feature_fraction=frac, min_samples_leaf=leaf)
             size = int(rng.integers(2, X.shape[0] + 1))
             if trial % 2:  # a bootstrap node repeats rows
                 rows = np.sort(rng.integers(0, X.shape[0], size))
             else:
                 rows = np.sort(rng.choice(X.shape[0], size, replace=False))
             counts = np.bincount(y[rows], minlength=3)
-            m = model._features_per_node()
-            got = model._best_split(bins, y, 3, rows, m, np.random.default_rng(trial), counts)
+            m = _features_per_node(frac, X.shape[1])
+            got = _best_split(bins, y, 3, rows, m, np.random.default_rng(trial), counts,
+                              X.shape[1], leaf)
             candidates = np.sort(
                 np.random.default_rng(trial).choice(X.shape[1], size=m, replace=False)
             )
@@ -748,7 +741,7 @@ class TestSparseSplitSearch:
         X, _ = split_fixture(24, full_column)
         codes, thresholds = dense_binning(X)
         assert max(len(t) for t in thresholds) == 32  # column 0 is thinned
-        bins = RandomForest._bin_entries(X)
+        bins = _bin_entries(X)
         for j, want in enumerate(thresholds):
             np.testing.assert_array_equal(
                 bins.thresholds[bins.offsets[j] : bins.offsets[j + 1]], want
@@ -773,11 +766,10 @@ class TestSparseSplitSearch:
         all_zero = np.asarray([7, 7, 8, 8])  # rows without a stored entry
         constant = sp.csr_matrix(np.ones((X.shape[0], 2)))  # one code per feature
         for X, rows in ((X, all_zero), (constant, np.arange(X.shape[0]))):
-            model = self._forest(X.shape[1], feature_fraction=1.0)
             counts = np.bincount(y[rows], minlength=3)
-            split = model._best_split(
-                RandomForest._bin_entries(X), y, 3, rows, X.shape[1],
-                np.random.default_rng(0), counts,
+            split = _best_split(
+                _bin_entries(X), y, 3, rows, X.shape[1], np.random.default_rng(0), counts,
+                X.shape[1], 1,
             )
             assert split is None
 
@@ -790,7 +782,7 @@ class TestSparseSplitSearch:
         hp = {"n_trees": 10, "max_depth": 8, "feature_fraction": frac,
               "min_samples_leaf": leaf, "bootstrap": bootstrap}
         sparse_forest = model_to_dict(train("random_forest", hp, fm, seed=6))
-        monkeypatch.setattr(RandomForest, "_best_split", dense_best_split(X, leaf))
+        monkeypatch.setattr(forest, "_best_split", dense_best_split(X, leaf))
         assert model_to_dict(train("random_forest", hp, fm, seed=6)) == sparse_forest
         assert sum(len(t["feature"]) for t in sparse_forest["params"]["trees"]) > 10 * 3
 
@@ -823,10 +815,10 @@ class TestSparseSplitSearch:
         monkeypatch.setattr(_Bins, "by_columns", counted_by_columns)
         forests = [model_to_dict(train("random_forest", hp, fm, seed=6)) for hp in grid]
         assert min(reads.values()) > 0 and len(reads) == 3
-        monkeypatch.setattr(RandomForest, "_best_split", dense_best_split(X, 1))
-        for hp, forest in zip(grid, forests):
-            assert model_to_dict(train("random_forest", hp, fm, seed=6)) == forest, hp
-            assert max(len(t["feature"]) for t in forest["params"]["trees"]) > 1
+        monkeypatch.setattr(forest, "_best_split", dense_best_split(X, 1))
+        for hp, saved in zip(grid, forests):
+            assert model_to_dict(train("random_forest", hp, fm, seed=6)) == saved, hp
+            assert max(len(t["feature"]) for t in saved["params"]["trees"]) > 1
 
     def test_fitted_forest_holds_only_what_reloading_restores(self):
         model = train("random_forest", fast_hp("random_forest"), separable_matrix(seed=14), seed=2)

@@ -390,6 +390,13 @@ class TestExportImport:
         assert back.fingerprint == d.fingerprint
         assert set(back.entries) == set(d.entries)
 
+    def test_import_names_the_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "dict.tsv"
+        export_dictionary(self._sample_dictionary(), path)
+        path.write_bytes(path.read_bytes() + "caf\xe9\t1\t2\t2\t2\t0.5\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text: .*0xe9"):
+            import_dictionary(path)
+
     @pytest.mark.parametrize(
         "line", ["x\t1\tx\t2\t2\t0.5", "x\t1\t2\t2\t2\theavy"], ids=["count", "weight"]
     )

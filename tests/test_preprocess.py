@@ -127,6 +127,12 @@ class TestLoadStoplist:
         sl = load_stoplist(path)
         assert sl == frozenset({"foo", "bar"})
 
+    def test_a_file_that_is_not_utf8_is_refused_naming_it(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes("caf\xe9\nthe\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text: .*0xe9"):
+            load_stoplist(path)
+
 
 class TestPreprocessPipeline:
     def test_full_pipeline(self):

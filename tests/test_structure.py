@@ -1,13 +1,14 @@
-"""Package structure: imports sit at module level, each submodule is reachable
-as an attribute of the package, the search (automl) does not depend on the
-experiment driver (evaluation) and its workers return results only, the
-driver reads learners only through their public contract, phrase lookup
-lives in the dictionary (ngrams), each entry point takes one input form,
-one writer and one reader serve every learner's declared saved arrays, a
-forest maps rows to leaves in one place, phrases are ranked by column,
-rows are made canonical in one place (the FeatureMatrix constructor), CSR
-rows are wrapped from their arrays in one place (``canonical_csr``), and the
-learners' softmax is their own."""
+"""Package structure: imports sit at module level and form no cycle, each
+submodule is reachable as an attribute of the package, the two numerical
+engines (forest, linear) are reached only through the learners, the search
+(automl) does not depend on the experiment driver (evaluation) and its
+workers return results only, the driver reads learners only through their
+public contract, phrase lookup lives in the dictionary (ngrams), each entry
+point takes one input form, one writer and one reader serve every learner's
+declared saved arrays, a forest maps rows to leaves in one place, phrases
+are ranked by column, rows are made canonical in one place (the
+FeatureMatrix constructor), CSR rows are wrapped from their arrays in one
+place (``canonical_csr``), and the learners' softmax is their own."""
 
 import ast
 import importlib
@@ -106,7 +107,7 @@ def _calls(module):
 def test_entry_points_take_one_input_form():
     # rows reach models, ensembles and rankings as a FeatureMatrix, whose own
     # constructor is the one check that they are 2-D sparse
-    for module in ("learners.py", "automl.py", "evaluation.py"):
+    for module in ("learners.py", "forest.py", "linear.py", "automl.py", "evaluation.py"):
         probes = [
             call
             for call in _calls(module)
@@ -137,26 +138,33 @@ def _definition(module, name):
     return next(n for n in tree.body if getattr(n, "name", None) == name)
 
 
-def test_one_leaf_map_and_a_ranking_by_column():
-    # _NodeTable holds the forest's two routes: the batch leaf map (leaves
-    # and votes, routing in lock step) and the one-document walk (walk and
-    # descend); nothing else in learners.py compares a value with a split
-    # threshold, and permutation importance starts from the batch leaf map.
-    # A round's phrases are ranked by a sort over feature columns, not by
-    # phrase strings.
-    table = _definition("learners.py", "_NodeTable")
-    methods = {f.name for f in table.body if isinstance(f, ast.FunctionDef)}
-    assert {"leaves", "votes", "route", "walk", "descend"} <= methods
-    assert "touched" not in methods
-    routing = {
+def _threshold_comparisons(module):
+    """The (scope, function) pairs of a module that compare with a split threshold."""
+    return {
         (scope.name, f.name)
-        for scope in ast.parse((PACKAGE / "learners.py").read_text(encoding="utf-8")).body
+        for scope in ast.parse((PACKAGE / module).read_text(encoding="utf-8")).body
         for f in (scope.body if isinstance(scope, ast.ClassDef) else [scope])
         if isinstance(f, ast.FunctionDef)
         for n in ast.walk(f)
         if isinstance(n, ast.Compare) and "threshold" in ast.unparse(n)
     }
-    assert routing == {("_NodeTable", "pack"), ("_NodeTable", "route"), ("_NodeTable", "descend")}
+
+
+def test_one_leaf_map_and_a_ranking_by_column():
+    # _NodeTable (forest.py) holds the forest's two routes: the batch leaf
+    # map (leaves and votes, routing in lock step) and the one-document walk
+    # (walk and descend); nothing else in forest.py or learners.py compares
+    # a value with a split threshold, and permutation importance starts from
+    # the batch leaf map. A round's phrases are ranked by a sort over feature
+    # columns, not by phrase strings.
+    table = _definition("forest.py", "_NodeTable")
+    methods = {f.name for f in table.body if isinstance(f, ast.FunctionDef)}
+    assert {"leaves", "votes", "route", "walk", "descend"} <= methods
+    assert "touched" not in methods
+    assert _threshold_comparisons("forest.py") == {
+        ("_NodeTable", "pack"), ("_NodeTable", "route"), ("_NodeTable", "descend")
+    }
+    assert _threshold_comparisons("learners.py") == set()
     forest = _definition("learners.py", "RandomForest")
     importance = next(f for f in forest.body if getattr(f, "name", "") == "permutation_importance")
     calls = [ast.unparse(n) for n in ast.walk(importance) if isinstance(n, ast.Call)]
@@ -168,10 +176,11 @@ def test_one_leaf_map_and_a_ranking_by_column():
 
 def test_rows_are_made_canonical_in_one_place():
     # FeatureMatrix sums duplicate entries once, when it is made; the
-    # learners read its canonical CSR rows as they are
+    # learners and their engines read its canonical CSR rows as they are
     canonicalising = {"_canonical_csr", "sum_duplicates", "has_canonical_format"}
-    assert _names("learners.py") & canonicalising == set()
-    assert [c for c in _calls("learners.py") if ".tocsr(" in c] == []
+    for module in ("learners.py", "forest.py", "linear.py"):
+        assert _names(module) & canonicalising == set(), module
+        assert [c for c in _calls(module) if ".tocsr(" in c] == [], module
     called = [c.split("(")[0].split(".")[-1] for c in _calls("features.py")]
     assert called.count("sum_duplicates") == 1
 
@@ -195,13 +204,58 @@ def test_csr_rows_are_wrapped_from_arrays_in_one_place():
 
 def test_learners_take_no_softmax_from_scipy():
     # scipy's softmax dispatches on the array API on every call; the learners
-    # compute the same three steps themselves (log_softmax stays in the loss)
-    tree = ast.parse((PACKAGE / "learners.py").read_text(encoding="utf-8"))
-    imported = {
-        alias.name
-        for node in _imports(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.special")
-        for alias in node.names
-    }
-    assert "softmax" not in imported and "log_softmax" in imported
-    assert "softmax" not in _names("learners.py")  # nor as scipy.special.softmax
+    # compute the same three steps themselves (log_softmax stays in the loss,
+    # in linear.py)
+    def scipy_special(module):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        return {
+            alias.name
+            for node in _imports(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.special")
+            for alias in node.names
+        }
+
+    assert "log_softmax" in scipy_special("linear.py")
+    for module in ("learners.py", "linear.py"):
+        assert "softmax" not in scipy_special(module), module
+        assert "softmax" not in _names(module), module  # nor as scipy.special.softmax
+
+
+def _package_imports(path):
+    """The package modules a module imports, by stem."""
+    imported = set()
+    for node in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            module = node.module or ""
+            if node.level:  # from .x import y, from . import x
+                module = f"sentigram.{module}".rstrip(".")
+            # "from sentigram import x" and "from . import x" name submodules
+            names = [f"{module}.{alias.name}" for alias in node.names]
+            modules = names if module == "sentigram" else [module]
+        imported |= {m.split(".")[1] for m in modules if m.startswith("sentigram.")}
+    return imported
+
+
+def test_package_imports_form_no_cycle_and_the_engines_sit_below_learners():
+    # forest.py (CART) and linear.py (L-BFGS) are numerical engines: they
+    # import nothing from the package, and only learners.py imports them
+    graph = {path.stem: _package_imports(path) for path in MODULES}
+    assert graph["forest"] == set() and graph["linear"] == set()
+    importers = {m for m, deps in graph.items() if deps & {"forest", "linear"}}
+    assert importers == {"learners"}
+    assert graph["learners"] >= {"forest", "linear"}
+    done, active = set(), []
+
+    def visit(module):  # depth-first: a module met again while active closes a cycle
+        assert module not in active, f"import cycle: {' -> '.join(active + [module])}"
+        if module not in done:
+            active.append(module)
+            for dep in sorted(graph[module]):
+                visit(dep)
+            active.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
