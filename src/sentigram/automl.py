@@ -418,6 +418,8 @@ def load_ensemble(path) -> TrainedEnsemble:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ValueError(f"{path}: not valid JSON (nested too deeply to decode)") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: ensemble container is not a JSON object")
     if payload.get("format") != _ENSEMBLE_FORMAT:

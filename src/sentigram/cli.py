@@ -187,6 +187,8 @@ def cmd_report(args) -> int:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ValueError(f"{path}: not valid JSON (nested too deeply to decode)") from None
     not_a_report = ValueError(f"{path}: not a report.json written by evaluate")
     if not isinstance(payload, dict) or not all(k in payload for k in _REPORT_KEYS):
         raise not_a_report

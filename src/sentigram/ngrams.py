@@ -17,8 +17,10 @@ Phrases occurring fewer than ``min_freq`` times in the whole corpus are
 dropped before weighting (default 2: singletons carry no training signal).
 
 Counting maps each token to an integer id once and works on one flat id
-array: each level's n-grams are integer keys counted with numpy sorts, and
-``df_terms`` intersects per-token posting sets at C level.
+array: each level's n-grams are integer keys, grouped by one stable sort per
+level, and ``df_terms`` is the size of each phrase's term-document set, got
+level by level by intersecting its prefix's sorted document array with its
+last token's.
 
 A dictionary is prefix-closed: every (n-1)-prefix of an entry is an entry.
 The build guarantees it (an n-gram is counted only where its prefix
@@ -49,6 +51,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,6 +211,79 @@ class NGramDictionary:
         return hashlib.sha256(lines.encode()).hexdigest()
 
 
+def _spans(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated index ranges ``lo[i] : lo[i] + size[i]``, and for each
+    index the ``i`` of its range."""
+    owner = np.repeat(np.arange(len(size)), size)
+    at = np.arange(len(owner))
+    at += (lo - (np.cumsum(size) - size))[owner]
+    return owner, at
+
+
+class _DocSets(NamedTuple):
+    """Sorted document sets, one per row, packed as ascending keys
+    ``base[r] + document``: row r's keys are ``keys[lo[r] : lo[r] + size[r]]``."""
+
+    keys: np.ndarray
+    lo: np.ndarray
+    size: np.ndarray
+    base: np.ndarray
+
+    def expand(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The documents of the sets ``rows``, concatenated, and for each the
+        index into ``rows`` of its set."""
+        owner, at = _spans(self.lo[rows], self.size[rows])
+        docs = self.keys[at]
+        docs -= self.base[rows][owner]
+        return owner, docs
+
+
+def _intersect(
+    small: _DocSets, e: np.ndarray, large: _DocSets, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The documents of each set e[i] of ``small`` that set q[i] of ``large``
+    also holds, and for each the i of its pair: each document of the small
+    side is looked up in the large side's sorted keys."""
+    owner, docs = small.expand(e)
+    key = large.base[q][owner]
+    key += docs
+    at = np.searchsorted(large.keys, key)
+    hit = large.keys[np.minimum(at, len(large.keys) - 1, out=at)] == key
+    return owner[hit], docs[hit]
+
+
+def _term_documents(
+    prefixes: _DocSets, p: np.ndarray, tokens: _DocSets, t: np.ndarray, repeat: np.ndarray,
+    corpus_size: int,
+) -> _DocSets:
+    """The documents that hold every term of each phrase, prefix set p[i] of
+    ``prefixes`` plus token t[i] of ``tokens``, as sets, one row per phrase.
+
+    Where the token repeats a term of the prefix (``repeat``), the phrase's set
+    is the prefix's. Otherwise it is the intersection of the two sets, found
+    from the smaller side.
+    """
+    a, b = prefixes.size[p], tokens.size[t]
+    size = a.copy()
+    rows = np.flatnonzero(repeat)
+    found = [(rows, prefixes.expand(p[rows])[1])]
+    for small, e, large, q, side in (
+        (prefixes, p, tokens, t, ~repeat & (a <= b)),
+        (tokens, t, prefixes, p, ~repeat & (a > b)),
+    ):
+        rows = np.flatnonzero(side)
+        owner, docs = _intersect(small, e[rows], large, q[rows])
+        size[rows] = np.bincount(owner, minlength=len(rows))
+        found.append((rows, docs))
+    # each phrase's documents came from one source, ascending: place them by row
+    lo = np.cumsum(size) - size
+    keys = np.empty(int(size.sum()), dtype=np.int64)
+    for rows, docs in found:
+        owner, at = _spans(lo[rows], size[rows])
+        keys[at] = rows[owner] * corpus_size + docs
+    return _DocSets(keys, lo, size, np.arange(len(size), dtype=np.int64) * corpus_size)
+
+
 def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGramDictionary:
     """Aggregate per-document n-gram statistics, prune, and weight the survivors.
 
@@ -222,74 +298,95 @@ def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGr
     level n counts only the positions whose two (n-1)-grams both survived,
     and a level that keeps nothing ends the count. Each survivor still gets
     its full count. An n-gram's key is (id of its (n-1)-gram prefix, id of
-    its last token), so one sort per level yields ``freq`` and one more over
-    (n-gram, document) pairs yields ``df_phrase``. ``df_terms`` intersects
-    the documents of each of a phrase's tokens, smallest set first.
+    its last token), and one stable sort per level groups the positions by
+    key: the group sizes are ``freq``, and as a group's positions ascend, so
+    do their documents, so ``df_phrase`` counts the document changes in it.
+
+    ``df_terms`` is the size of a phrase's term-document set, the documents
+    holding all of its tokens, found level by level: a unigram's set is its
+    postings, and an n-gram's is its prefix's set if its last token repeats
+    one of the prefix's, else that set intersected with the last token's
+    postings. Each level's sets are kept as sorted arrays for the next level
+    only.
     ``entries`` runs level by level, each level in order of first occurrence.
     """
     if not 1 <= max_n <= MAX_NGRAM_LEN:
         raise ValueError(f"max_n must be in 1..{MAX_NGRAM_LEN}, got {max_n}")
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
-    vocab: dict[str, int] = {}
-    ids: list[int] = []
+    flat: list[str] = []
     lengths: list[int] = []
     for doc in docs:
-        before = len(ids)
-        ids.extend(vocab.setdefault(token, len(vocab)) for token in doc)
-        lengths.append(len(ids) - before)
+        before = len(flat)
+        flat.extend(doc)
+        lengths.append(len(flat) - before)
     if not lengths:
         raise ValueError("build_dictionary requires at least one document")
 
-    corpus_size, n_vocab = len(lengths), len(vocab)
-    words = list(vocab)
-    tok = np.array(ids, dtype=np.int64)
+    # token ids in order of first occurrence
+    words = list(dict.fromkeys(flat))
+    vocab = {token: i for i, token in enumerate(words)}
+    corpus_size, n_vocab = len(lengths), len(words)
+    tok = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
     doc_of = np.repeat(np.arange(corpus_size, dtype=np.int64), lengths)
     doc_end = np.repeat(np.cumsum(lengths, dtype=np.int64), lengths)
-    # token postings: the sorted distinct (token, document) pairs, split by token
-    pairs = np.unique(tok * corpus_size + doc_of)
-    cuts = np.searchsorted(pairs // corpus_size, np.arange(1, n_vocab))
-    postings = {w: set(p.tolist()) for w, p in zip(words, np.split(pairs % corpus_size, cuts))}
+    # token postings: the sorted distinct keys token * N + document
+    pairs = np.sort(tok * corpus_size + doc_of)
+    distinct = np.ones(len(pairs), dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
+    pairs = pairs[distinct]
+    cuts = np.searchsorted(pairs, np.arange(n_vocab + 1, dtype=np.int64) * corpus_size)
+    postings = _DocSets(pairs, cuts[:-1], np.diff(cuts), np.arange(n_vocab) * corpus_size)
 
     entries: dict[Phrase, NGramEntry] = {}
     # level n counts the ascending positions ``starts``; ``prefix`` holds the id
-    # of the (n-1)-gram there, an index into ``prev``, level n-1's survivors.
-    # Level 1 extends the empty phrase at every position.
+    # of the (n-1)-gram there, an index into ``prev``, level n-1's survivors,
+    # whose term-document sets are ``sets``. Level 1 extends the empty phrase
+    # at every position.
     prev: list[Phrase] = [()]
     starts = np.arange(len(tok), dtype=np.int64)
     prefix = np.zeros(len(tok), dtype=np.int64)
     for n in range(1, max_n + 1):
         keys = prefix * n_vocab + tok[starts + n - 1]
-        grams, first, inverse, freq = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
-        gram_docs = np.unique(inverse * corpus_size + doc_of[starts]) // corpus_size
-        df_phrase = np.bincount(gram_docs, minlength=len(grams))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        freq = np.diff(heads, append=len(keys))
         kept = np.flatnonzero(freq >= min_freq)
         if not len(kept):
             break
+        group = np.cumsum(head) - 1
+        doc = doc_of[starts[order]]
+        head[1:] |= doc[1:] != doc[:-1]  # now: a group's first position in each document
+        df_phrase = np.bincount(group[head], minlength=len(heads))
+        first = starts[order[heads]]
         kept = kept[np.argsort(first[kept])]  # in order of first occurrence
+        prefix_id, last = np.divmod(keys[heads[kept]], n_vocab)
+        if n == 1:  # a unigram's set is its postings
+            sets = postings._replace(
+                lo=postings.lo[last], size=postings.size[last], base=postings.base[last]
+            )
+        else:  # the prefix's tokens, read where the phrase first occurs
+            window = tok[first[kept, None] + np.arange(n - 1)]
+            repeat = (window == last[:, None]).any(axis=1)
+            sets = _term_documents(sets, prefix_id, postings, last, repeat, corpus_size)
         level = []
-        for key, total, dfp in zip(
-            grams[kept].tolist(), freq[kept].tolist(), df_phrase[kept].tolist()
+        for p, t, total, dfp, dft in zip(
+            prefix_id.tolist(), last.tolist(), freq[kept].tolist(),
+            df_phrase[kept].tolist(), sets.size.tolist(),
         ):
-            prefix_id, last = divmod(key, n_vocab)
-            phrase = prev[prefix_id] + (words[last],)
+            phrase = prev[p] + (words[t],)
             level.append(phrase)
-            # intersect smallest-first; every term occurs because the phrase did
-            sets = sorted((postings[t] for t in set(phrase)), key=len)
-            df_terms = len(set.intersection(*sets))
             entries[phrase] = NGramEntry(
-                phrase=phrase,
-                freq=total,
-                df_phrase=dfp,
-                df_terms=df_terms,
-                weight=ngram_idf_weight(dfp, df_terms, corpus_size),
+                phrase, total, dfp, dft, ngram_idf_weight(dfp, dft, corpus_size)
             )
         prev = level
-        new_id = np.full(len(grams), -1, dtype=np.int64)
+        new_id = np.full(len(heads), -1, dtype=np.int64)
         new_id[kept] = np.arange(len(kept))
-        ids_here = new_id[inverse]
+        ids_here = np.empty(len(keys), dtype=np.int64)
+        ids_here[order] = new_id[group]
         live = ids_here >= 0
         alive, alive_ids = starts[live], ids_here[live]
         # level n+1: both n-grams survived and the (n+1)-gram ends inside its document

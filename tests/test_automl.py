@@ -646,11 +646,14 @@ class TestFitFinalAndSerialization:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {match}"):
             load_ensemble(path)
 
-    def test_load_names_the_file_that_is_not_valid_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cut", [lambda text: text[:99], lambda text: "[" * 200_000], ids=["truncated", "nested"]
+    )
+    def test_load_names_the_file_that_is_not_valid_json(self, tmp_path, cut):
         _, _, ensemble = self._pipeline()
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(ensemble_to_dict(ensemble))[:99], encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not valid JSON"):
+        path.write_text(cut(json.dumps(ensemble_to_dict(ensemble))), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not valid JSON"):
             load_ensemble(path)
 
     def test_load_names_the_file_that_is_not_utf8(self, tmp_path):

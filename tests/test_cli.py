@@ -488,8 +488,9 @@ class TestReport:
     @pytest.mark.parametrize(
         "cut, reason",
         [(lambda b: b[:11], "not valid JSON"),
-         (lambda b: b[:11] + "caf\xe9".encode("latin-1"), "not UTF-8 text")],
-        ids=["truncated", "latin-1"],
+         (lambda b: b[:11] + "caf\xe9".encode("latin-1"), "not UTF-8 text"),
+         (lambda b: b"[" * 200_000, "not valid JSON (nested too deeply")],
+        ids=["truncated", "latin-1", "nested"],
     )
     def test_unreadable_report_exits_2_naming_the_file(
         self, evaluate_run, tmp_path, capsys, cut, reason

@@ -15,7 +15,7 @@ from sentigram.ngrams import (
     import_dictionary,
     ngram_idf_weight,
 )
-from sentigram.preprocess import preprocess
+from sentigram.preprocess import load_stoplist, preprocess
 
 
 # --- independent brute-force oracle (no shared code with the implementation) ---
@@ -54,6 +54,42 @@ def random_corpus(rng, n_docs=30, max_len=20, alphabet=6):
         [vocab[i] for i in rng.integers(0, alphabet, size=rng.integers(1, max_len + 1))]
         for _ in range(n_docs)
     ]
+
+
+def planted_corpus(counts, seed):
+    """Seven shared noise words per document plus one token planted per class."""
+    rng = np.random.default_rng(seed)
+    noise = [f"noise{i}" for i in range(30)]
+    docs = []
+    for planted, n in zip(("stellar", "routine", "dreadful"), counts):
+        for _ in range(n):
+            tokens = [noise[i] for i in rng.integers(0, len(noise), size=7)]
+            tokens.insert(int(rng.integers(0, 8)), planted)
+            docs.append(tokens)
+    return docs
+
+
+def se_like_corpus(n_docs, seed):
+    """Q&A-like text after stop-word removal: Zipf-ranked words with function
+    words at the top ranks, 8-40 words a document, and multiword expressions
+    of 2-8 mid-rank words spliced in, so long phrases recur across documents."""
+    rng = np.random.default_rng(seed)
+    function = ["the", "i", "to", "a", "it", "is", "and", "this", "in", "of", "you", "that"]
+    words = function + [f"w{i}" for i in range(600)]
+    ranks = np.arange(1, len(words) + 1, dtype=float) ** -1.1
+    ranks /= ranks.sum()
+    expressions = [
+        [words[i] for i in rng.integers(30, 300, size=int(rng.integers(2, 9)))] for _ in range(25)
+    ]
+    stoplist = load_stoplist()
+    docs = []
+    for _ in range(n_docs):
+        tokens = [words[i] for i in rng.choice(len(words), int(rng.integers(8, 41)), p=ranks)]
+        for _ in range(int(rng.integers(0, 3))):
+            at = int(rng.integers(0, len(tokens) + 1))
+            tokens[at:at] = expressions[int(rng.integers(len(expressions)))]
+        docs.append(preprocess(" ".join(tokens), stoplist))
+    return docs
 
 
 class TestNgramIdfWeight:
@@ -140,6 +176,42 @@ class TestBuildDictionary:
                     self._assert_matches_oracle(
                         docs, max_n, min_freq, f"trial {trial} max_n {max_n} min_freq {min_freq}"
                     )
+
+    def test_a_last_token_that_repeats_an_earlier_one_adds_no_term(self):
+        # "a b a", "x y x" and "x y x y" hold no term their prefixes lack, so
+        # each shares its prefix's term-document set
+        docs = [
+            ["a", "b", "a"], ["a", "b", "a", "c"], ["c", "a", "b", "a", "b"],
+            ["x", "y", "x", "y"], ["y", "x", "y", "x", "y"], ["x", "y"], ["b", "c"], ["y"],
+        ]
+        for max_n in range(2, 6):
+            for min_freq in (1, 2):
+                label = f"max_n {max_n} min_freq {min_freq}"
+                self._assert_matches_oracle(docs, max_n, min_freq, label)
+        d = build_dictionary(docs, max_n=4, min_freq=1)
+        for phrase, prefix in (("a b a", "a b"), ("x y x", "x y"), ("x y x y", "x y")):
+            phrase, prefix = tuple(phrase.split()), tuple(prefix.split())
+            assert d.entries[phrase].df_terms == d.entries[prefix].df_terms
+
+    def test_either_side_of_a_term_intersection_can_be_the_smaller(self):
+        # "f r" and "f g r" meet the rare token r after a frequent prefix, so
+        # r's documents are the smaller side; "r f" and "r f g" meet frequent
+        # tokens after a rare prefix, so the prefix's documents are
+        docs = [["f", "g", f"x{i % 5}"] for i in range(30)] + [
+            ["f", "g", "r"], ["x2", "f", "g", "r"], ["f", "r"], ["f", "r", "q"],
+            ["r", "f", "g"], ["q", "r", "f", "g", "x1"], ["r", "q"], ["x3", "r"],
+        ]
+        for max_n in (2, 3, 4):
+            for min_freq in (1, 2):
+                label = f"max_n {max_n} min_freq {min_freq}"
+                self._assert_matches_oracle(docs, max_n, min_freq, label)
+        d = build_dictionary(docs, max_n=3, min_freq=2)
+        frequent, rare = d.entries[("f",)].df_terms, d.entries[("r",)].df_terms
+        assert rare < d.entries[("f", "g")].df_terms and rare < frequent
+        assert {("f", "r"), ("r", "f"), ("f", "g", "r"), ("r", "f", "g")} <= set(d.entries)
+
+    def test_matches_oracle_on_a_stop_listed_se_like_corpus_at_max_n_10(self):
+        self._assert_matches_oracle(se_like_corpus(150, 7), MAX_NGRAM_LEN, 2)
 
     def test_three_distinct_tokens(self):
         d = build_dictionary([["a", "b", "c"]], max_n=2, min_freq=1)
@@ -271,6 +343,22 @@ class TestDictionaryStructure:
         unpruned = build_dictionary(other, max_n=2, min_freq=1)
         assert set(unpruned.entries) - set(pruned.entries) == {("c",), ("a", "c")}
         assert unpruned.fingerprint != pruned.fingerprint
+
+    @pytest.mark.parametrize(
+        "corpus, max_n, size, fingerprint",
+        [
+            (lambda: planted_corpus((60, 40, 20), 5), 2, 226,
+             "c5534d0d8b5ecc159a92a2ea8dbeda2ac316be25321909569929f39f1bcedefa"),
+            (lambda: se_like_corpus(150, 7), MAX_NGRAM_LEN, 771,
+             "ea06afb6d963132b3e19f64ed6d251e6236b261f909f4e17862a600c9d94dbc8"),
+        ],
+        ids=["planted", "se-like"],
+    )
+    def test_the_build_is_pinned_to_its_fingerprint(self, corpus, max_n, size, fingerprint):
+        # the fingerprint hashes every entry's statistics and repr(weight), so
+        # these values pin each weight bit of two fixed builds
+        d = build_dictionary(corpus(), max_n=max_n, min_freq=2)
+        assert (len(d), d.fingerprint) == (size, fingerprint)
 
 
 class TestExportImport:

@@ -8,7 +8,8 @@ point takes one input form, one writer and one reader serve every learner's
 declared saved arrays, a forest maps rows to leaves in one place, phrases
 are ranked by column, rows are made canonical in one place (the
 FeatureMatrix constructor), CSR rows are wrapped from their arrays in one
-place (``canonical_csr``), and the learners' softmax is their own."""
+place (``canonical_csr``), the learners' softmax is their own, and the
+dictionary build intersects term-document sets in array passes."""
 
 import ast
 import importlib
@@ -84,6 +85,23 @@ def test_phrase_lookup_lives_in_ngrams():
     steps = {"_token_ids", "_radix", "_unigram_cols", "_step_keys", "_step_cols", "_step"}
     assert _names("features.py") & (lookup | steps) == set()
     assert {"phrase_counts", "batch_phrase_counts"} <= _names("features.py")
+
+
+def test_term_documents_are_intersected_in_array_passes():
+    # df_terms comes from level-wise intersections of sorted document arrays:
+    # no Python set is made or intersected, and no mapping holds postings
+    tree = ast.parse((PACKAGE / "ngrams.py").read_text(encoding="utf-8"))
+    assert "intersection" not in _names("ngrams.py")
+    assert [c for c in _calls("ngrams.py") if re.match(r"(frozen)?set\(", c)] == []
+    mappings = [
+        ast.unparse(target)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and (isinstance(node.value, (ast.Dict, ast.DictComp))
+             or (isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "dict"))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    assert [m for m in mappings if "posting" in m] == []
 
 
 def test_search_workers_return_results_only():
