@@ -211,15 +211,6 @@ class NGramDictionary:
         return hashlib.sha256(lines.encode()).hexdigest()
 
 
-def _spans(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The concatenated index ranges ``lo[i] : lo[i] + size[i]``, and for each
-    index the ``i`` of its range."""
-    owner = np.repeat(np.arange(len(size)), size)
-    at = np.arange(len(owner))
-    at += (lo - (np.cumsum(size) - size))[owner]
-    return owner, at
-
-
 class _DocSets(NamedTuple):
     """Sorted document sets, one per row, packed as ascending keys
     ``base[r] + document``: row r's keys are ``keys[lo[r] : lo[r] + size[r]]``."""
@@ -232,7 +223,11 @@ class _DocSets(NamedTuple):
     def expand(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The documents of the sets ``rows``, concatenated, and for each the
         index into ``rows`` of its set."""
-        owner, at = _spans(self.lo[rows], self.size[rows])
+        size = self.size[rows]
+        owner = np.repeat(np.arange(len(rows)), size)
+        # the ranges lo : lo + size, concatenated, as forest._ranges makes them
+        at = np.arange(len(owner))
+        at += (self.lo[rows] - (np.cumsum(size) - size))[owner]
         docs = self.keys[at]
         docs -= self.base[rows][owner]
         return owner, docs
@@ -253,35 +248,29 @@ def _intersect(
 
 
 def _term_documents(
-    prefixes: _DocSets, p: np.ndarray, tokens: _DocSets, t: np.ndarray, repeat: np.ndarray,
-    corpus_size: int,
+    prefixes: _DocSets, p: np.ndarray, tokens: _DocSets, t: np.ndarray, corpus_size: int
 ) -> _DocSets:
     """The documents that hold every term of each phrase, prefix set p[i] of
-    ``prefixes`` plus token t[i] of ``tokens``, as sets, one row per phrase.
-
-    Where the token repeats a term of the prefix (``repeat``), the phrase's set
-    is the prefix's. Otherwise it is the intersection of the two sets, found
-    from the smaller side.
+    ``prefixes`` plus token t[i] of ``tokens``, as sets, one row per phrase:
+    the intersection of the two sets, found from the smaller side. A token
+    that repeats a term of the prefix needs no case of its own: the prefix's
+    set lies inside the token's postings, so the intersection is that set.
     """
     a, b = prefixes.size[p], tokens.size[t]
-    size = a.copy()
-    rows = np.flatnonzero(repeat)
-    found = [(rows, prefixes.expand(p[rows])[1])]
+    size = np.empty(len(p), dtype=np.int64)
+    found = []
     for small, e, large, q, side in (
-        (prefixes, p, tokens, t, ~repeat & (a <= b)),
-        (tokens, t, prefixes, p, ~repeat & (a > b)),
+        (prefixes, p, tokens, t, a <= b),
+        (tokens, t, prefixes, p, a > b),
     ):
         rows = np.flatnonzero(side)
         owner, docs = _intersect(small, e[rows], large, q[rows])
         size[rows] = np.bincount(owner, minlength=len(rows))
-        found.append((rows, docs))
-    # each phrase's documents came from one source, ascending: place them by row
-    lo = np.cumsum(size) - size
-    keys = np.empty(int(size.sum()), dtype=np.int64)
-    for rows, docs in found:
-        owner, at = _spans(lo[rows], size[rows])
-        keys[at] = rows[owner] * corpus_size + docs
-    return _DocSets(keys, lo, size, np.arange(len(size), dtype=np.int64) * corpus_size)
+        found.append(rows[owner] * corpus_size + docs)
+    # each side's keys ascend: one stable sort merges the two runs
+    keys = np.sort(np.concatenate(found), kind="stable")
+    base = np.arange(len(p), dtype=np.int64) * corpus_size
+    return _DocSets(keys, np.cumsum(size) - size, size, base)
 
 
 def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGramDictionary:
@@ -304,10 +293,10 @@ def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGr
 
     ``df_terms`` is the size of a phrase's term-document set, the documents
     holding all of its tokens, found level by level: a unigram's set is its
-    postings, and an n-gram's is its prefix's set if its last token repeats
-    one of the prefix's, else that set intersected with the last token's
-    postings. Each level's sets are kept as sorted arrays for the next level
-    only.
+    postings, and an n-gram's is its prefix's set intersected with its last
+    token's postings, expanding the smaller of the two and looking each
+    document up in the other. Each level's sets are kept as sorted arrays for
+    the next level only.
     ``entries`` runs level by level, each level in order of first occurrence.
     """
     if not 1 <= max_n <= MAX_NGRAM_LEN:
@@ -368,10 +357,8 @@ def build_dictionary(docs, max_n: int = MAX_NGRAM_LEN, min_freq: int = 2) -> NGr
             sets = postings._replace(
                 lo=postings.lo[last], size=postings.size[last], base=postings.base[last]
             )
-        else:  # the prefix's tokens, read where the phrase first occurs
-            window = tok[first[kept, None] + np.arange(n - 1)]
-            repeat = (window == last[:, None]).any(axis=1)
-            sets = _term_documents(sets, prefix_id, postings, last, repeat, corpus_size)
+        else:
+            sets = _term_documents(sets, prefix_id, postings, last, corpus_size)
         level = []
         for p, t, total, dfp, dft in zip(
             prefix_id.tolist(), last.tolist(), freq[kept].tolist(),
